@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from .errors import (
     DegenerateSequenceError,
     QwjumpsError,
 )
-from .sequences import Protocol, generate, to_jumps
+# to_jumps is unused here but stays importable: bench/tracing.py wraps it
+# by name on this module.
+from .sequences import Protocol, generate, to_jumps  # noqa: F401
 from .walk_engine import (
     CLASSICAL_FIELDS,
     QUANTUM_FIELDS,
@@ -313,19 +316,8 @@ def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None
 
 def _cmd_carpet(cfg: dict) -> None:
     t_max = _require_int(cfg, "tmax", minimum=0)
-    cfg = dict(cfg)
-    cfg["classical"] = False
     run = _run_config(cfg, carpet=True, t_max=t_max)
-    run = RunConfig(
-        coin=run.coin,
-        protocol=run.protocol,
-        t_max=run.t_max,
-        seed_symbol=run.seed_symbol,
-        rng_seed=run.rng_seed,
-        record_stride=run.record_stride,
-        record_fields=("m2",),
-        carpet=True,
-    )
+    run = replace(run, record_fields=("m2",))
     out = _out_dir(cfg)
     result = evolve(run)
     _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
@@ -335,43 +327,30 @@ def _cmd_carpet(cfg: dict) -> None:
 # -------------------------------------------------------------- sweep
 
 
-def _qw_sweep_cell(args) -> tuple[str | None, float]:
-    family, theta, protocol, seed_symbol, rng_seed, t_max = args
+def _sweep_cell(cell) -> tuple[str | None, float]:
+    """Fit alpha for one sweep cell, returning (error, alpha).
+
+    A cell whose family is None is the classical walker: its m2(t) is
+    exactly sum_{s<t} J_s^2, so no profile is evolved.
+    """
+    family, theta, protocol, seed_symbol, rng_seed, t_max = cell
     try:
         run = RunConfig(
-            coin=CoinSpec(CoinFamily(family), theta),
+            coin=CoinSpec(CoinFamily(family or "H"), theta),
             protocol=Protocol(protocol),
             t_max=t_max,
             seed_symbol=seed_symbol,
             rng_seed=rng_seed if protocol == Protocol.RANDOM.value else None,
             record_fields=("m2",),
         )
-        result = evolve(run)
-        fit = observables.fit_alpha(
-            result.series.times, result.series.column("m2")
-        )
-        return None, fit.alpha
+        if family is None:
+            times = run.record_times()
+            m2 = np.cumsum(np.concatenate(([0], run.jump_schedule() ** 2)))[times]
+        else:
+            series = evolve(run).series
+            times, m2 = series.times, series.column("m2")
+        return None, observables.fit_alpha(times, m2).alpha
     except Exception as exc:  # surfaced with the cell identity by the caller
-        return str(exc), math.nan
-
-
-def _cw_sweep_cell(args) -> tuple[str | None, float]:
-    protocol, seed_symbol, rng_seed, t_max = args
-    try:
-        run = RunConfig(
-            coin=CoinSpec(CoinFamily.H, 0.0),
-            protocol=Protocol(protocol),
-            t_max=t_max,
-            seed_symbol=seed_symbol,
-            rng_seed=rng_seed if protocol == Protocol.RANDOM.value else None,
-            record_fields=("m2",),
-        )
-        result = classical_evolve(run)
-        fit = observables.fit_alpha(
-            result.series.times, result.series.column("m2")
-        )
-        return None, fit.alpha
-    except Exception as exc:
         return str(exc), math.nan
 
 
@@ -447,31 +426,23 @@ def _cmd_sweep(cfg: dict) -> None:
         for seed in seeds
     ]
     cw_cells = [
-        (protocol, seed, rng_seed, t_max)
+        (None, 0.0, protocol, seed, rng_seed, t_max)
         for protocol in protocols
         for seed in seeds
     ]
-    qw_results = _map_cells(_qw_sweep_cell, qw_cells, jobs)
-    cw_results = _map_cells(_cw_sweep_cell, cw_cells, jobs)
-
-    for cell, (error, _) in zip(qw_cells, qw_results):
+    cells = qw_cells + cw_cells
+    results = _map_cells(_sweep_cell, cells, jobs)
+    for (family, theta, protocol, seed, _, _), (error, _) in zip(cells, results):
         if error is not None:
-            family, theta, protocol, seed = cell[:4]
+            walker = "cw" if family is None else f"qw coin={family} theta={theta!r}"
             raise QwjumpsError(
-                f"sweep cell failed (qw coin={family} theta={theta!r} "
-                f"protocol={protocol} seed_symbol={seed}): {error}"
-            )
-    for cell, (error, _) in zip(cw_cells, cw_results):
-        if error is not None:
-            protocol, seed = cell[:2]
-            raise QwjumpsError(
-                f"sweep cell failed (cw protocol={protocol} "
+                f"sweep cell failed ({walker} protocol={protocol} "
                 f"seed_symbol={seed}): {error}"
             )
 
     n_seeds = len(seeds)
-    qw_alpha = [alpha for _, alpha in qw_results]
-    cw_alpha = [alpha for _, alpha in cw_results]
+    qw_alpha = [alpha for _, alpha in results[: len(qw_cells)]]
+    cw_alpha = [alpha for _, alpha in results[len(qw_cells) :]]
 
     cw_rows_per_protocol = {}
     for pi, protocol in enumerate(protocols):

@@ -168,13 +168,22 @@ def kld(r: np.ndarray, w: np.ndarray) -> float:
 def jsd(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon dissimilarity via the mean distribution, in [0, 1].
 
-    Always finite for normalized inputs because the mean distribution
-    covers the support of both arguments.
+    Each half is evaluated in ratio form, sum R log2(2R / (P + Q)) over
+    cells with R > 0.  Since P + Q >= R there, the ratio stays finite
+    even where forming the mean 0.5 (P + Q) would round a subnormal
+    mass to zero; elsewhere it rounds exactly as R / (0.5 (P + Q)).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    m = 0.5 * (p + q)
-    return 0.5 * (kld(p, m) + kld(q, m))
+    if p.shape != q.shape:
+        raise ValueError("profiles must share one shape")
+    total = p + q
+    halves = []
+    for r in (p, q):
+        support = r > 0.0
+        rs = r[support]
+        halves.append(float(np.sum(rs * np.log2(2.0 * rs / total[support]))))
+    return 0.5 * (halves[0] + halves[1])
 
 
 def reduced_coin_matrix(down: np.ndarray, up: np.ndarray) -> ReducedCoinMatrix:

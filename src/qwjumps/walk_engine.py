@@ -202,6 +202,13 @@ class RunConfig:
             return self.record_stride
         return 1 if self.t_max <= 1000 else 10
 
+    def record_times(self) -> list[int]:
+        """Sampled steps: every stride-th step from 0, plus t_max."""
+        times = list(range(0, self.t_max + 1, self.stride))
+        if times[-1] != self.t_max:
+            times.append(self.t_max)
+        return times
+
     def jump_schedule(self) -> np.ndarray:
         """Jump lengths J_0 .. J_{t_max - 1}; empty when t_max is 0."""
         if self.t_max == 0:
@@ -303,11 +310,18 @@ def classical_step(profile: ClassicalProfile, jump: int) -> ClassicalProfile:
     return ClassicalProfile(mass=nxt, origin=profile.origin)
 
 
-def _record_times(t_max: int, stride: int) -> list[int]:
-    times = list(range(0, t_max + 1, stride))
-    if times[-1] != t_max:
-        times.append(t_max)
-    return times
+def _classical_shift(mass, mass_next, lo, hi, j):
+    """Move half of mass[lo:hi] j sites each way, into mass_next.
+
+    mass_next holds the profile of two steps ago, whose support sits
+    inside [lo, hi); zeroing only the slice of the new window that the
+    assignment does not cover keeps it clean.  The sums match
+    classical_step() element for element.
+    """
+    p = mass[lo:hi]
+    mass_next[lo - j : lo + j] = 0.0
+    mass_next[lo + j : hi + j] = 0.5 * p
+    mass_next[lo - j : hi - j] += 0.5 * p
 
 
 class _Recorder:
@@ -316,15 +330,17 @@ class _Recorder:
     def __init__(self, fields: tuple[str, ...], positions: np.ndarray):
         self.fields = fields
         self.positions = positions.astype(float)
+        self.need_m2 = not {"m2", "kappa"}.isdisjoint(fields)
+        self.need_m4 = not {"m4", "kappa"}.isdisjoint(fields)
         self.times: list[int] = []
         self.values: dict[str, list[float]] = {f: [] for f in fields}
 
     def record_profile(self, t, mass, lo, hi, cw_mass=None, down=None, up=None):
         self.times.append(t)
         pos = self.positions[lo:hi]
-        need_moments = {"m2", "m4", "kappa"} & set(self.fields)
-        if need_moments:
+        if self.need_m2:
             m2 = observables.moment(mass, pos, 2)
+        if self.need_m4:
             m4 = observables.moment(mass, pos, 4)
         for f in self.fields:
             if f == "m2":
@@ -385,58 +401,36 @@ def evolve(config: RunConfig) -> EvolutionResult:
         carpet_rows = np.zeros((config.t_max + 1, extent))
 
     recorder = _Recorder(config.record_fields, state0.positions())
-    record_at = set(_record_times(config.t_max, config.stride))
+    record_at = set(config.record_times())
     lo, hi = origin, origin + 1
 
-    def sample(t: int) -> None:
+    def observe(t: int) -> None:
         u, d = up[lo:hi], dn[lo:hi]
-        mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2
-        cw_mass = cw[lo:hi] if need_jsd else None
-        recorder.record_profile(t, mass, lo, hi, cw_mass=cw_mass, down=d, up=u)
+        if carpet_rows is not None:
+            carpet_rows[t, lo:hi] = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
+        if t in record_at:
+            mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2
+            cw_mass = cw[lo:hi] if need_jsd else None
+            recorder.record_profile(t, mass, lo, hi, cw_mass=cw_mass, down=d, up=u)
 
-    if carpet_rows is not None:
-        carpet_rows[0, lo:hi] = (
-            up[lo:hi].real ** 2
-            + up[lo:hi].imag ** 2
-            - dn[lo:hi].real ** 2
-            - dn[lo:hi].imag ** 2
-        )
-    if 0 in record_at:
-        sample(0)
-
+    observe(0)
     for t in range(1, config.t_max + 1):
         j = int(jumps[t - 1])
-        new_lo, new_hi = lo - j, hi + j
-        if new_lo < 0 or new_hi > extent:
-            raise BoundaryContactError(
-                f"step {t} with jump {j} would leave the lattice"
-            )
         u, d = up[lo:hi], dn[lo:hi]
         # The next buffers hold the state of two steps ago, whose
         # support sits inside [lo, hi); zeroing only the slices of the
         # new window the writes below do not cover keeps them clean.
-        up_next[new_lo : lo + j] = 0.0
-        dn_next[hi - j : new_hi] = 0.0
-        up_next[lo + j : new_hi] = m00 * u + m01 * d
-        dn_next[new_lo : hi - j] = m10 * u + m11 * d
+        up_next[lo - j : lo + j] = 0.0
+        dn_next[hi - j : hi + j] = 0.0
+        up_next[lo + j : hi + j] = m00 * u + m01 * d
+        dn_next[lo - j : hi - j] = m10 * u + m11 * d
         up, up_next = up_next, up
         dn, dn_next = dn_next, dn
         if need_jsd:
-            p = cw[lo:hi]
-            cw_next[new_lo : lo + j] = 0.0
-            cw_next[lo + j : new_hi] = 0.5 * p
-            cw_next[new_lo : hi - j] += 0.5 * p
+            _classical_shift(cw, cw_next, lo, hi, j)
             cw, cw_next = cw_next, cw
-        lo, hi = new_lo, new_hi
-        if carpet_rows is not None:
-            carpet_rows[t, lo:hi] = (
-                up[lo:hi].real ** 2
-                + up[lo:hi].imag ** 2
-                - dn[lo:hi].real ** 2
-                - dn[lo:hi].imag ** 2
-            )
-        if t in record_at:
-            sample(t)
+        lo, hi = lo - j, hi + j
+        observe(t)
 
     final_state = SpinorField(down=dn, up=up, origin=origin)
     carpet = (
@@ -470,26 +464,20 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     mass_next = np.zeros(extent)
 
     recorder = _Recorder(fields, np.arange(extent) - origin)
-    record_at = set(_record_times(config.t_max, config.stride))
+    record_at = set(config.record_times())
     lo, hi = origin, origin + 1
-    if 0 in record_at:
-        recorder.record_profile(0, mass[lo:hi], lo, hi)
 
-    for t in range(1, config.t_max + 1):
-        j = int(jumps[t - 1])
-        new_lo, new_hi = lo - j, hi + j
-        if new_lo < 0 or new_hi > extent:
-            raise BoundaryContactError(
-                f"step {t} with jump {j} would leave the lattice"
-            )
-        p = mass[lo:hi]
-        mass_next[new_lo : lo + j] = 0.0
-        mass_next[lo + j : new_hi] = 0.5 * p
-        mass_next[new_lo : hi - j] += 0.5 * p
-        mass, mass_next = mass_next, mass
-        lo, hi = new_lo, new_hi
+    def observe(t: int) -> None:
         if t in record_at:
             recorder.record_profile(t, mass[lo:hi], lo, hi)
+
+    observe(0)
+    for t in range(1, config.t_max + 1):
+        j = int(jumps[t - 1])
+        _classical_shift(mass, mass_next, lo, hi, j)
+        mass, mass_next = mass_next, mass
+        lo, hi = lo - j, hi + j
+        observe(t)
 
     profile = ClassicalProfile(mass=mass, origin=origin)
     return ClassicalResult(

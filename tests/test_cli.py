@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve
 from qwjumps.cli_runner import DEFAULT_RNG_SEED, main
+from qwjumps.observables import fit_alpha
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -37,6 +39,16 @@ class TestWalkCommand:
         assert final_m2 > 0.0
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert set(fit) == {"alpha", "intercept", "window", "residual"}
+
+    @pytest.mark.parametrize("protocol", [p.value for p in Protocol])
+    def test_default_run_succeeds_for_every_protocol(self, tmp_path, protocol):
+        run_ok(["walk", "--protocol", protocol, "--out", str(tmp_path)])
+        rows = read_rows(tmp_path / "observables.csv")
+        assert rows[0] == "t,m2,m4,kappa,S,IPR,JSD,S_e"
+        assert len(rows) == 1 + 201
+        for row in rows[1:]:
+            value = float(row.split(",")[6])
+            assert 0.0 <= value <= 1.0
 
     def test_config_echo_reports_the_resolved_run(self, tmp_path):
         run_ok(
@@ -247,6 +259,39 @@ class TestSweepCommand:
         run_ok(self.ARGV + ["--jobs", "2", "--out", str(par_dir)])
         for name in ("alpha_qw_H.csv", "alpha_cw_H.csv"):
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+    def test_classical_rows_fit_the_evolved_classical_walker(self, tmp_path):
+        run_ok(
+            [
+                "sweep",
+                "--theta",
+                "0.5",
+                "--coin",
+                "H",
+                "--seed-symbol",
+                "1",
+                "--tmax",
+                "300",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        rows = read_rows(tmp_path / "alpha_cw_H.csv")[1:]
+        assert len(rows) == len(Protocol)
+        for row in rows:
+            _, protocol, alpha, stderr = row.split(",")
+            config = RunConfig(
+                coin=CoinSpec("H", 0.0),
+                protocol=protocol,
+                t_max=300,
+                seed_symbol=1,
+                rng_seed=DEFAULT_RNG_SEED if protocol == "random" else None,
+                record_fields=("m2",),
+            )
+            series = classical_evolve(config).series
+            expected = fit_alpha(series.times, series.column("m2")).alpha
+            assert abs(float(alpha) - expected) <= 1e-9
+            assert float(stderr) == 0.0
 
     def test_degenerate_cell_aborts_with_its_identity(self, tmp_path, capsys):
         # tmax=10 collapses the default fit window to a single time, so

@@ -136,6 +136,17 @@ class TestDivergences:
         q = np.array([0.0, 0.0, 0.5, 0.5])
         assert jsd(p, q) == pytest.approx(1.0, abs=1e-15)
 
+    def test_subnormal_mass_against_an_empty_cell_stays_finite(self):
+        # Halving p + q would round the subnormal cell to zero and leave
+        # p with mass where the mean distribution has none.
+        p = np.array([1.0, 5e-324])
+        q = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="infinite"):
+            kld(p, 0.5 * (p + q))
+        value = jsd(p, q)
+        assert math.isfinite(value)
+        assert 0.0 <= value <= 1.0
+
     def test_dissimilarity_is_exactly_symmetric_and_bounded(self):
         rng = np.random.default_rng(99)
         for _ in range(10_000):

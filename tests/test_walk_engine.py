@@ -8,6 +8,7 @@ bitwise agreement with the one-step reference operation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qwjumps import (
     step,
     to_jumps,
 )
+from qwjumps.observables import jsd
 from qwjumps.walk_engine import CLASSICAL_FIELDS, QUANTUM_FIELDS
 
 H4 = CoinSpec(CoinFamily.H, math.pi / 4.0)
@@ -215,6 +217,25 @@ class TestEvolveAgainstStepReference:
         np.testing.assert_array_equal(result.final_state.down, state.down)
         np.testing.assert_array_equal(result.final_state.up, state.up)
 
+    def test_jsd_compares_against_the_classical_comparator_profile(self):
+        config = RunConfig(
+            coin=H4,
+            protocol=Protocol.RANDOM,
+            t_max=300,
+            rng_seed=77,
+            record_fields=("JSD",),
+        )
+        result = evolve(config)
+        classical = classical_evolve(replace(config, record_fields=("m2",)))
+        expected = jsd(
+            result.final_state.probability(), classical.final_profile.mass
+        )
+        # The recorder sums |up|^2 before |down|^2, probability() the
+        # reverse, so the last bit of each site's mass may differ.
+        assert result.series.column("JSD")[-1] == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
     def test_jump_schedule_matches_the_generated_word(self):
         config = RunConfig(coin=H4, protocol=Protocol.PERIODIC, t_max=9)
         result = evolve(config)
@@ -332,6 +353,54 @@ class TestClassicalComparator:
         np.testing.assert_allclose(
             series.column("m4"), 3.0 * t**2 - 2.0 * t, atol=1e-7
         )
+
+    @pytest.mark.parametrize("seed_symbol", [0, 1])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_moments_follow_the_closed_form_of_the_jump_schedule(
+        self, protocol, seed_symbol
+    ):
+        # With +-J_s steps of probability 1/2 each, m2(t) = sum J_s^2
+        # and m4(t) = 3 (sum J_s^2)^2 - 2 sum J_s^4 over s < t.
+        config = RunConfig(
+            coin=H4,
+            protocol=protocol,
+            t_max=1000,
+            seed_symbol=seed_symbol,
+            rng_seed=12345 if protocol is Protocol.RANDOM else None,
+            record_stride=1,
+            record_fields=("m2", "m4"),
+        )
+        result = classical_evolve(config)
+        jumps = to_jumps(
+            generate(protocol, seed_symbol, 1000, rng_seed=config.rng_seed)
+        )[:1000].astype(float)
+        sum2 = np.concatenate(([0.0], np.cumsum(jumps**2)))
+        sum4 = np.concatenate(([0.0], np.cumsum(jumps**4)))
+        np.testing.assert_allclose(
+            result.series.column("m2"), sum2, rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(
+            result.series.column("m4"),
+            3.0 * sum2**2 - 2.0 * sum4,
+            rtol=1e-12,
+            atol=0.0,
+        )
+
+    def test_windowed_evolution_is_bitwise_identical_to_stepping(self):
+        config = RunConfig(
+            coin=H4,
+            protocol=Protocol.RANDOM,
+            t_max=100,
+            rng_seed=77,
+            record_fields=("m2",),
+        )
+        result = classical_evolve(config)
+        mass = np.zeros(config.extent)
+        mass[config.extent // 2] = 1.0
+        profile = ClassicalProfile(mass=mass, origin=config.extent // 2)
+        for jump in result.jumps:
+            profile = classical_step(profile, int(jump))
+        np.testing.assert_array_equal(result.final_profile.mass, profile.mass)
 
     def test_kurtosis_approaches_the_gaussian_value(self):
         config = RunConfig(
