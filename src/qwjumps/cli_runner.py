@@ -34,16 +34,7 @@ from .errors import (
 # to_jumps is unused here but stays importable: bench/tracing.py wraps it
 # by name on this module.
 from .sequences import Protocol, generate, to_jumps  # noqa: F401
-from .walk_engine import (
-    CLASSICAL_FIELDS,
-    QUANTUM_FIELDS,
-    ClassicalResult,
-    CoinFamily,
-    CoinSpec,
-    RunConfig,
-    classical_evolve,
-    evolve,
-)
+from .walk_engine import CoinFamily, CoinSpec, RunConfig, classical_evolve, evolve
 
 __all__ = ["main"]
 
@@ -134,19 +125,31 @@ def _require_int(cfg: dict, key: str, minimum: int | None = None) -> int:
     return value
 
 
-def _resolve_rng_seed(cfg: dict, protocol: Protocol) -> int | None:
-    """Default the shuffle seed for RANDOM; reject it elsewhere."""
-    rng_seed = cfg["rng_seed"]
-    if protocol is Protocol.RANDOM:
-        if rng_seed is None:
-            return DEFAULT_RNG_SEED
-        return _require_int(cfg, "rng_seed", minimum=0)
-    if rng_seed is not None:
-        raise ValueError(
-            "rng_seed is only valid with the random protocol, "
-            f"not {protocol.value!r}"
-        )
-    return None
+def _resolve_rng_seed(cfg: dict, protocols: list[str]) -> int | None:
+    """Default the shuffle seed when RANDOM is run; reject it otherwise."""
+    if Protocol.RANDOM.value not in protocols:
+        if cfg["rng_seed"] is not None:
+            raise ValueError(
+                "rng_seed is only valid with the random protocol, "
+                f"not {', '.join(map(repr, protocols))}"
+            )
+        return None
+    if cfg["rng_seed"] is None:
+        return DEFAULT_RNG_SEED
+    return _require_int(cfg, "rng_seed", minimum=0)
+
+
+def _parse_seed_symbol(value, *, allow_both: bool = False) -> list[int]:
+    """The seed symbols that value selects: [0], [1], or, for "both", [0, 1].
+
+    As for every integer option, bools and floats are refused.
+    """
+    if allow_both and value == "both":
+        return [0, 1]
+    if type(value) not in (int, str) or str(value) not in ("0", "1"):
+        choices = "0, 1, or both" if allow_both else "0 or 1"
+        raise ValueError(f"seed_symbol must be {choices}, got {value!r}")
+    return [int(value)]
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -167,9 +170,9 @@ def _series_rows(series):
 
 def _cmd_seq(cfg: dict) -> None:
     protocol = Protocol(cfg["protocol"])
-    seed_symbol = _require_int(cfg, "seed_symbol")
+    [seed_symbol] = _parse_seed_symbol(cfg["seed_symbol"])
     t_max = _require_int(cfg, "tmax", minimum=1)
-    rng_seed = _resolve_rng_seed(cfg, protocol)
+    rng_seed = _resolve_rng_seed(cfg, [protocol.value])
     out = _out_dir(cfg)
 
     seq = generate(protocol, seed_symbol, t_max, rng_seed=rng_seed)
@@ -236,20 +239,19 @@ def _cmd_seq(cfg: dict) -> None:
 
 
 def _run_config(cfg: dict, *, carpet: bool, t_max: int) -> RunConfig:
+    [seed_symbol] = _parse_seed_symbol(cfg["seed_symbol"])
     protocol = Protocol(cfg["protocol"])
     coin = CoinSpec(CoinFamily(cfg["coin"]), float(cfg["theta"]))
     stride = cfg.get("stride")
     if stride is not None:
         stride = _require_int(cfg, "stride", minimum=1)
-    classical = bool(cfg.get("classical", False))
     return RunConfig(
         coin=coin,
         protocol=protocol,
         t_max=t_max,
-        seed_symbol=_require_int(cfg, "seed_symbol"),
-        rng_seed=_resolve_rng_seed(cfg, protocol),
+        seed_symbol=seed_symbol,
+        rng_seed=_resolve_rng_seed(cfg, [protocol.value]),
         record_stride=stride,
-        record_fields=CLASSICAL_FIELDS if classical else QUANTUM_FIELDS,
         carpet=carpet,
     )
 
@@ -285,9 +287,11 @@ def _fit_payload(series) -> dict:
 
 def _cmd_walk(cfg: dict) -> None:
     t_max = _require_int(cfg, "tmax", minimum=0)
-    run = _run_config(cfg, carpet=bool(cfg.get("carpet", False)), t_max=t_max)
+    if cfg["classical"] and cfg["carpet"]:
+        raise ValueError("carpet needs the quantum walk: classical has no spin")
+    run = _run_config(cfg, carpet=bool(cfg["carpet"]), t_max=t_max)
     out = _out_dir(cfg)
-    result = classical_evolve(run) if cfg.get("classical") else evolve(run)
+    result = classical_evolve(run) if cfg["classical"] else evolve(run)
     series = result.series
     _write_csv(
         out / "observables.csv",
@@ -296,7 +300,7 @@ def _cmd_walk(cfg: dict) -> None:
     )
     _write_json(out / "config.json", _echo_run(cfg, run, "walk"))
     _write_json(out / "fit.json", _fit_payload(series))
-    if run.carpet and not isinstance(result, ClassicalResult):
+    if run.carpet:
         positions = result.final_state.positions()
         _write_carpet(out / "carpet.csv", result.carpet, positions)
 
@@ -327,31 +331,21 @@ def _cmd_carpet(cfg: dict) -> None:
 # -------------------------------------------------------------- sweep
 
 
-def _sweep_cell(cell) -> tuple[str | None, float]:
-    """Fit alpha for one sweep cell, returning (error, alpha).
+def _sweep_cell(run: RunConfig) -> tuple[str | None, float, float]:
+    """Fit alpha for one sweep cell, returning (error, alpha_qw, alpha_cw).
 
-    A cell whose family is None is the classical walker: its m2(t) is
-    exactly sum_{s<t} J_s^2, so no profile is evolved.
+    The classical walker under the cell's jumps J_s has m2(t) exactly
+    sum_{s<t} J_s^2, so it is fitted at the quantum walk's sample times
+    without evolving a profile.
     """
-    family, theta, protocol, seed_symbol, rng_seed, t_max = cell
     try:
-        run = RunConfig(
-            coin=CoinSpec(CoinFamily(family or "H"), theta),
-            protocol=Protocol(protocol),
-            t_max=t_max,
-            seed_symbol=seed_symbol,
-            rng_seed=rng_seed if protocol == Protocol.RANDOM.value else None,
-            record_fields=("m2",),
-        )
-        if family is None:
-            times = run.record_times()
-            m2 = np.cumsum(np.concatenate(([0], run.jump_schedule() ** 2)))[times]
-        else:
-            series = evolve(run).series
-            times, m2 = series.times, series.column("m2")
-        return None, observables.fit_alpha(times, m2).alpha
+        result = evolve(run)
+        times = result.series.times
+        m2_cw = np.cumsum(np.concatenate(([0], result.jumps**2)))[times]
+        alpha_qw = observables.fit_alpha(times, result.series.column("m2")).alpha
+        return None, alpha_qw, observables.fit_alpha(times, m2_cw).alpha
     except Exception as exc:  # surfaced with the cell identity by the caller
-        return str(exc), math.nan
+        return str(exc), math.nan, math.nan
 
 
 def _map_cells(worker, cells: list, jobs: int) -> list:
@@ -361,7 +355,7 @@ def _map_cells(worker, cells: list, jobs: int) -> list:
         return list(pool.map(worker, cells))
 
 
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if len(values) < 2:
         return mean, 0.0
@@ -381,10 +375,7 @@ def _cmd_sweep(cfg: dict) -> None:
         raise ValueError(f"coin must be H, K, or both, got {coin!r}")
     families = ["H", "K"] if coin == "both" else [coin]
 
-    seed_choice = str(cfg["seed_symbol"])
-    if seed_choice not in ("0", "1", "both"):
-        raise ValueError(f"seed_symbol must be 0, 1, or both, got {seed_choice!r}")
-    seeds = [0, 1] if seed_choice == "both" else [int(seed_choice)]
+    seeds = _parse_seed_symbol(cfg["seed_symbol"], allow_both=True)
 
     full_scale = bool(cfg.get("full_scale", False))
     if cfg["tmax"] is not None:
@@ -404,69 +395,45 @@ def _cmd_sweep(cfg: dict) -> None:
     if grid[0] < 0.0 or grid[-1] > math.pi / 2.0 + 1e-15:
         raise ValueError("theta values must lie in [0, pi/2]")
 
-    needs_rng = Protocol.RANDOM.value in protocols
-    rng_seed = cfg["rng_seed"]
-    if rng_seed is None:
-        rng_seed = DEFAULT_RNG_SEED if needs_rng else None
-    elif not needs_rng:
-        raise ValueError(
-            "rng_seed is only valid when the random protocol is swept"
-        )
-    else:
-        rng_seed = _require_int(cfg, "rng_seed", minimum=0)
-
+    rng_seed = _resolve_rng_seed(cfg, protocols)
     jobs = _require_int(cfg, "jobs", minimum=1)
     out = _out_dir(cfg)
 
-    qw_cells = [
-        (family, float(theta), protocol, seed, rng_seed, t_max)
+    cells = [
+        RunConfig(
+            coin=CoinSpec(family, theta),
+            protocol=protocol,
+            t_max=t_max,
+            seed_symbol=seed,
+            rng_seed=rng_seed if protocol == Protocol.RANDOM.value else None,
+            record_fields=("m2",),
+        )
         for family in families
         for theta in grid
         for protocol in protocols
         for seed in seeds
     ]
-    cw_cells = [
-        (None, 0.0, protocol, seed, rng_seed, t_max)
-        for protocol in protocols
-        for seed in seeds
-    ]
-    cells = qw_cells + cw_cells
     results = _map_cells(_sweep_cell, cells, jobs)
-    for (family, theta, protocol, seed, _, _), (error, _) in zip(cells, results):
+    for run, (error, _, _) in zip(cells, results):
         if error is not None:
-            walker = "cw" if family is None else f"qw coin={family} theta={theta!r}"
             raise QwjumpsError(
-                f"sweep cell failed ({walker} protocol={protocol} "
-                f"seed_symbol={seed}): {error}"
+                f"sweep cell failed (coin={run.coin.family.value} "
+                f"theta={run.coin.theta!r} protocol={run.protocol.value} "
+                f"seed_symbol={run.seed_symbol}): {error}"
             )
 
-    n_seeds = len(seeds)
-    qw_alpha = [alpha for _, alpha in results[: len(qw_cells)]]
-    cw_alpha = [alpha for _, alpha in results[len(qw_cells) :]]
-
-    cw_rows_per_protocol = {}
-    for pi, protocol in enumerate(protocols):
-        group = cw_alpha[pi * n_seeds : (pi + 1) * n_seeds]
-        cw_rows_per_protocol[protocol] = _mean_stderr(group)
-
+    # alphas[family, theta, protocol, seed] holds (alpha_qw, alpha_cw).
+    shape = (len(families), len(grid), len(protocols), len(seeds), 2)
+    alphas = np.array([result[1:] for result in results]).reshape(shape)
     header = ["theta", "protocol", "alpha", "stderr"]
-    index = 0
-    for family in families:
-        rows = []
-        for theta in grid:
-            for protocol in protocols:
-                group = qw_alpha[index : index + n_seeds]
-                index += n_seeds
-                mean, err = _mean_stderr(group)
-                rows.append((float(theta), protocol, mean, err))
-        _write_csv(out / f"alpha_qw_{family}.csv", header, rows)
-    for family in families:
-        rows = []
-        for theta in grid:
-            for protocol in protocols:
-                mean, err = cw_rows_per_protocol[protocol]
-                rows.append((float(theta), protocol, mean, err))
-        _write_csv(out / f"alpha_cw_{family}.csv", header, rows)
+    for f, family in enumerate(families):
+        for w, walker in enumerate(("qw", "cw")):
+            rows = [
+                (float(theta), protocol, *_mean_stderr(alphas[f, i, k, :, w]))
+                for i, theta in enumerate(grid)
+                for k, protocol in enumerate(protocols)
+            ]
+            _write_csv(out / f"alpha_{walker}_{family}.csv", header, rows)
 
     _write_json(
         out / "sweep_config.json",
@@ -609,24 +576,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(
                 f"unknown config fields: {sorted(unknown)}"
             )
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-        else:
-            merged[key] = default
-    if args.command in ("seq", "walk", "carpet"):
-        merged["seed_symbol"] = _parse_seed_symbol(merged["seed_symbol"])
-    return merged
-
-
-def _parse_seed_symbol(value) -> int:
-    if isinstance(value, bool) or value not in (0, 1, "0", "1"):
-        raise ValueError(f"seed_symbol must be 0 or 1, got {value!r}")
-    return int(value)
+    flags = {key: getattr(args, key, None) for key in defaults}
+    given = {key: value for key, value in flags.items() if value is not None}
+    return {**defaults, **file_cfg, **given}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -407,7 +407,9 @@ def evolve(config: RunConfig) -> EvolutionResult:
     def observe(t: int) -> None:
         u, d = up[lo:hi], dn[lo:hi]
         if carpet_rows is not None:
-            carpet_rows[t, lo:hi] = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
+            # Cells outside [lo, hi) are 0: the window's peak is the row's.
+            raw = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
+            carpet_rows[t, lo:hi] = observables.asymmetry_carpet(raw[None])[0]
         if t in record_at:
             mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2
             cw_mass = cw[lo:hi] if need_jsd else None
@@ -433,17 +435,12 @@ def evolve(config: RunConfig) -> EvolutionResult:
         observe(t)
 
     final_state = SpinorField(down=dn, up=up, origin=origin)
-    carpet = (
-        observables.asymmetry_carpet(carpet_rows)
-        if carpet_rows is not None
-        else None
-    )
     return EvolutionResult(
         series=recorder.series(),
         final_state=final_state,
         final_norm=final_state.norm(),
         jumps=jumps,
-        carpet=carpet,
+        carpet=carpet_rows,
     )
 
 

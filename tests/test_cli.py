@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve
+from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve, evolve
 from qwjumps.cli_runner import DEFAULT_RNG_SEED, main
 from qwjumps.observables import fit_alpha
 
@@ -102,6 +102,12 @@ class TestWalkCommand:
         assert rows[0] == "t,m2,m4,kappa,S,IPR"
         assert len(rows) == 1 + 41
 
+    def test_classical_carpet_is_refused(self, tmp_path, capsys):
+        argv = ["walk", "--classical", "--carpet", "--tmax", "50"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "carpet" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_step_run_emits_a_degenerate_fit_marker(self, tmp_path):
         run_ok(["walk", "--tmax", "0", "--out", str(tmp_path)])
         fit = json.loads((tmp_path / "fit.json").read_text())
@@ -159,6 +165,47 @@ class TestConfigResolution:
         )
         assert code == 2
         assert "rng_seed" in capsys.readouterr().err
+
+
+class TestOptionPolicy:
+    """Every command parses rng_seed and seed_symbol under one rule."""
+
+    @pytest.mark.parametrize("command", ["seq", "walk", "carpet", "sweep"])
+    def test_rng_seed_and_seed_symbol_are_checked_alike(
+        self, tmp_path, capsys, command
+    ):
+        out = ["--out", str(tmp_path)]
+        rng = ["--protocol", "fibonacci", "--rng-seed", "7"]
+        assert main([command, *rng, *out]) == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert main([command, "--seed-symbol", "2", *out]) == 2
+        assert "seed_symbol" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed_symbol": 1.0}))
+        assert main([command, "--config", str(cfg), *out]) == 2
+        assert "seed_symbol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, echo_name, echoed",
+        [
+            (["walk", "--tmax", "30"], "config.json", 1),
+            (
+                ["sweep", "--theta", "0.5", "--protocol", "standard",
+                 "--coin", "H", "--tmax", "50"],
+                "sweep_config.json",
+                [1],
+            ),
+        ],
+        ids=["walk", "sweep"],
+    )
+    def test_seed_symbol_string_from_a_config_file_is_accepted(
+        self, tmp_path, argv, echo_name, echoed
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed_symbol": "1"}))
+        run_ok([*argv, "--config", str(cfg), "--out", str(tmp_path)])
+        echo = json.loads((tmp_path / echo_name).read_text())
+        assert echo["seed_symbol"] == echoed
 
 
 class TestSeqCommand:
@@ -259,6 +306,68 @@ class TestSweepCommand:
         run_ok(self.ARGV + ["--jobs", "2", "--out", str(par_dir)])
         for name in ("alpha_qw_H.csv", "alpha_cw_H.csv"):
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+    def test_parallel_two_coin_two_seed_sweep_with_random_matches(self, tmp_path):
+        argv = [
+            "sweep",
+            "--theta",
+            "0.3",
+            "1.1",
+            "--protocol",
+            "random",
+            "fibonacci",
+            "--coin",
+            "both",
+            "--seed-symbol",
+            "both",
+            "--tmax",
+            "60",
+        ]
+        seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
+        run_ok(argv + ["--jobs", "1", "--out", str(seq_dir)])
+        run_ok(argv + ["--jobs", "2", "--out", str(par_dir)])
+        for walker in ("qw", "cw"):
+            for family in ("H", "K"):
+                name = f"alpha_{walker}_{family}.csv"
+                assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+    def test_quantum_rows_average_the_fits_of_their_seed_cells(self, tmp_path):
+        run_ok(
+            [
+                "sweep",
+                "--theta",
+                "0.3",
+                "1.1",
+                "--protocol",
+                "fibonacci",
+                "random",
+                "--coin",
+                "K",
+                "--tmax",
+                "60",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        rows = read_rows(tmp_path / "alpha_qw_K.csv")[1:]
+        assert len(rows) == 2 * 2
+        for row in rows:
+            theta, protocol, alpha, stderr = row.split(",")
+            alphas = []
+            for seed_symbol in (0, 1):
+                config = RunConfig(
+                    coin=CoinSpec("K", float(theta)),
+                    protocol=protocol,
+                    t_max=60,
+                    seed_symbol=seed_symbol,
+                    rng_seed=DEFAULT_RNG_SEED if protocol == "random" else None,
+                    record_fields=("m2",),
+                )
+                series = evolve(config).series
+                alphas.append(fit_alpha(series.times, series.column("m2")).alpha)
+            spread = abs(alphas[0] - alphas[1]) / 2.0
+            assert float(alpha) == pytest.approx(sum(alphas) / 2.0, rel=1e-12)
+            assert float(stderr) == pytest.approx(spread, rel=1e-12, abs=1e-15)
 
     def test_classical_rows_fit_the_evolved_classical_walker(self, tmp_path):
         run_ok(

@@ -65,6 +65,16 @@ class TestMoments:
         expected = (4e5) ** 4
         assert moment(mass, positions, 4) == pytest.approx(expected, rel=1e-12)
 
+    def test_fourth_moment_of_a_point_mass_is_correctly_rounded(self):
+        # Past |x| = 9741, x^4 exceeds 2^53 and must be rounded; float
+        # pow misses the correctly rounded value for some of these sites.
+        positions = np.arange(-20000.0, 20001.0)
+        mass = np.zeros(len(positions))
+        for x in range(9700, 20001):
+            mass[20000 + x] = 1.0
+            assert moment(mass, positions, 4) == float(x**4), x
+            mass[20000 + x] = 0.0
+
     def test_moment_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order"):
             moment(DELTA, FIVE_SITES, 0)

@@ -29,7 +29,7 @@ from qwjumps import (
     step,
     to_jumps,
 )
-from qwjumps.observables import jsd
+from qwjumps.observables import asymmetry_carpet, jsd
 from qwjumps.walk_engine import CLASSICAL_FIELDS, QUANTUM_FIELDS
 
 H4 = CoinSpec(CoinFamily.H, math.pi / 4.0)
@@ -216,6 +216,30 @@ class TestEvolveAgainstStepReference:
             state = step(state, coin, int(jump))
         np.testing.assert_array_equal(result.final_state.down, state.down)
         np.testing.assert_array_equal(result.final_state.up, state.up)
+
+    @pytest.mark.parametrize("coin", [H4, K4])
+    def test_carpet_is_the_normalized_asymmetry_of_the_stepped_states(self, coin):
+        config = RunConfig(
+            coin=coin,
+            protocol=Protocol.RANDOM,
+            t_max=60,
+            rng_seed=77,
+            record_fields=("m2",),
+            carpet=True,
+        )
+        result = evolve(config)
+        state = initial_state(coin, config.extent)
+        states = [state]
+        for jump in result.jumps:
+            state = step(state, coin, int(jump))
+            states.append(state)
+        raw = np.array(
+            [
+                s.up.real**2 + s.up.imag**2 - s.down.real**2 - s.down.imag**2
+                for s in states
+            ]
+        )
+        np.testing.assert_array_equal(result.carpet, asymmetry_carpet(raw))
 
     def test_jsd_compares_against_the_classical_comparator_profile(self):
         config = RunConfig(
