@@ -44,27 +44,17 @@ FULL_SCALE_T_MAX = 200_000
 
 _ALL_PROTOCOLS = [p.value for p in Protocol]
 
+_SINGLE_RUN = {"protocol": "standard", "seed_symbol": 0, "rng_seed": None, "out": "."}
+_COIN = {"coin": "H", "theta": math.pi / 4.0}
 _DEFAULTS: dict[str, dict] = {
-    "seq": {
-        "protocol": "standard",
-        "seed_symbol": 0,
-        "rng_seed": None,
-        "tmax": 10_000,
-        "stride": None,
-        "tau_max": None,
-        "out": ".",
-    },
+    "seq": {**_SINGLE_RUN, "tmax": 10_000, "stride": None, "tau_max": None},
     "walk": {
-        "protocol": "standard",
-        "coin": "H",
-        "theta": math.pi / 4.0,
+        **_SINGLE_RUN,
+        **_COIN,
         "tmax": 2000,
-        "seed_symbol": 0,
-        "rng_seed": None,
         "stride": None,
         "classical": False,
         "carpet": False,
-        "out": ".",
     },
     "sweep": {
         "protocol": _ALL_PROTOCOLS,
@@ -77,15 +67,7 @@ _DEFAULTS: dict[str, dict] = {
         "jobs": 1,
         "out": ".",
     },
-    "carpet": {
-        "protocol": "standard",
-        "coin": "H",
-        "theta": math.pi / 4.0,
-        "tmax": 200,
-        "seed_symbol": 0,
-        "rng_seed": None,
-        "out": ".",
-    },
+    "carpet": {**_SINGLE_RUN, **_COIN, "tmax": 200},
 }
 
 
@@ -106,8 +88,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -123,6 +104,30 @@ def _require_int(cfg: dict, key: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} must be at least {minimum}, got {value}")
     return value
+
+
+# Types and wording for config-file values, which skip argparse's types.
+_FILE_TYPES = {
+    "classical": (bool, "true or false"),
+    "carpet": (bool, "true or false"),
+    "full_scale": (bool, "true or false"),
+    "theta": ((int, float), "a number"),
+    "protocol": (str, "a protocol name"),
+}
+
+
+def _file_value(command: str, key: str, value):
+    """A config-file value checked as its flag is; sweep's become lists."""
+    if key not in _FILE_TYPES or value is None and _DEFAULTS[command][key] is None:
+        return value
+    kind, noun = _FILE_TYPES[key]
+    many = command == "sweep" and key in ("protocol", "theta")
+    items = value if many and isinstance(value, list) else [value]
+    ok = [isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in items]
+    if not all(ok):
+        plural = " or a list of them" if many else ""
+        raise ValueError(f"{key} must be {noun}{plural}, got {value!r}")
+    return items if many else value
 
 
 def _resolve_rng_seed(cfg: dict, protocols: list[str]) -> int | None:
@@ -159,8 +164,7 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _series_rows(series):
-    names = list(series.columns)
-    cols = [series.columns[n] for n in names]
+    cols = list(series.columns.values())
     for i, t in enumerate(series.times):
         yield (int(t), *(col[i] for col in cols))
 
@@ -180,10 +184,9 @@ def _cmd_seq(cfg: dict) -> None:
     stride = cfg["stride"]
     stride = min(100, length) if stride is None else _require_int(cfg, "stride", 1)
     tau_max = cfg["tau_max"]
-    if tau_max is None:
-        tau_max = min(200, length - 2)
-    else:
-        tau_max = _require_int(cfg, "tau_max", minimum=1)
+    tau_max = (
+        min(200, length - 2) if tau_max is None else _require_int(cfg, "tau_max", 1)
+    )
 
     _write_csv(out / "sequence.csv", ["b_t"], ((int(s),) for s in seq.symbols))
     _write_json(out / "sequence.json", seq.json_record())
@@ -243,8 +246,7 @@ def _run_config(cfg: dict, *, carpet: bool, t_max: int) -> RunConfig:
     protocol = Protocol(cfg["protocol"])
     coin = CoinSpec(CoinFamily(cfg["coin"]), float(cfg["theta"]))
     stride = cfg.get("stride")
-    if stride is not None:
-        stride = _require_int(cfg, "stride", minimum=1)
+    stride = stride if stride is None else _require_int(cfg, "stride", minimum=1)
     return RunConfig(
         coin=coin,
         protocol=protocol,
@@ -266,7 +268,7 @@ def _echo_run(cfg: dict, run: RunConfig, command: str) -> dict:
         "seed_symbol": run.seed_symbol,
         "rng_seed": run.rng_seed,
         "stride": run.stride,
-        "classical": bool(cfg.get("classical", False)),
+        "classical": cfg.get("classical", False),
         "carpet": run.carpet,
         "out": str(cfg["out"]),
     }
@@ -289,7 +291,7 @@ def _cmd_walk(cfg: dict) -> None:
     t_max = _require_int(cfg, "tmax", minimum=0)
     if cfg["classical"] and cfg["carpet"]:
         raise ValueError("carpet needs the quantum walk: classical has no spin")
-    run = _run_config(cfg, carpet=bool(cfg["carpet"]), t_max=t_max)
+    run = _run_config(cfg, carpet=cfg["carpet"], t_max=t_max)
     out = _out_dir(cfg)
     result = classical_evolve(run) if cfg["classical"] else evolve(run)
     series = result.series
@@ -301,8 +303,7 @@ def _cmd_walk(cfg: dict) -> None:
     _write_json(out / "config.json", _echo_run(cfg, run, "walk"))
     _write_json(out / "fit.json", _fit_payload(series))
     if run.carpet:
-        positions = result.final_state.positions()
-        _write_carpet(out / "carpet.csv", result.carpet, positions)
+        _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
 
 
 def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None:
@@ -363,10 +364,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _cmd_sweep(cfg: dict) -> None:
-    protocols = cfg["protocol"]
-    if isinstance(protocols, str):
-        protocols = [protocols]
-    protocols = [Protocol(p).value for p in protocols]
+    protocols = [Protocol(p).value for p in cfg["protocol"]]
     if len(set(protocols)) != len(protocols):
         raise ValueError("protocol list holds duplicates")
 
@@ -377,7 +375,7 @@ def _cmd_sweep(cfg: dict) -> None:
 
     seeds = _parse_seed_symbol(cfg["seed_symbol"], allow_both=True)
 
-    full_scale = bool(cfg.get("full_scale", False))
+    full_scale = cfg["full_scale"]
     if cfg["tmax"] is not None:
         t_max = _require_int(cfg, "tmax", minimum=10)
     else:
@@ -387,8 +385,6 @@ def _cmd_sweep(cfg: dict) -> None:
     if thetas is None:
         grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_THETA_POINTS)
     else:
-        if isinstance(thetas, (int, float)):
-            thetas = [thetas]
         grid = np.array(sorted({float(v) for v in thetas}), dtype=float)
     if len(grid) == 0:
         raise ValueError("theta grid must be nonempty")
@@ -457,19 +453,14 @@ def _cmd_sweep(cfg: dict) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, *, many_protocols=False) -> None:
     parser.add_argument("--config", help="JSON file holding option defaults")
-    if many_protocols:
-        parser.add_argument(
-            "--protocol",
-            nargs="+",
-            choices=_ALL_PROTOCOLS,
-            help="jump-control protocols to sweep (default: all)",
-        )
-    else:
-        parser.add_argument(
-            "--protocol",
-            choices=_ALL_PROTOCOLS,
-            help="jump-control protocol (default: standard)",
-        )
+    parser.add_argument(
+        "--protocol",
+        nargs="+" if many_protocols else None,
+        choices=_ALL_PROTOCOLS,
+        help="jump-control protocols to sweep (default: all)"
+        if many_protocols
+        else "jump-control protocol (default: standard)",
+    )
     parser.add_argument(
         "--seed-symbol",
         dest="seed_symbol",
@@ -489,17 +480,20 @@ def _add_common(parser: argparse.ArgumentParser, *, many_protocols=False) -> Non
 def _add_coin(parser: argparse.ArgumentParser, *, allow_both=False) -> None:
     choices = ["H", "K", "both"] if allow_both else ["H", "K"]
     parser.add_argument("--coin", choices=choices, help="coin family")
-    if allow_both:
-        parser.add_argument(
-            "--theta",
-            nargs="+",
-            type=float,
-            help="theta grid values in radians (default: 33 even points)",
-        )
-    else:
-        parser.add_argument(
-            "--theta", type=float, help="coin angle in radians (default: pi/4)"
-        )
+    parser.add_argument(
+        "--theta",
+        nargs="+" if allow_both else None,
+        type=float,
+        help="theta grid values in radians (default: 33 even points)"
+        if allow_both
+        else "coin angle in radians (default: pi/4)",
+    )
+
+
+def _add_switch(parser: argparse.ArgumentParser, flag: str, help: str) -> None:
+    """A true/false option; absent, it defers to the config file and defaults."""
+    dest = flag[2:].replace("-", "_")
+    parser.add_argument(flag, dest=dest, action="store_true", default=None, help=help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,30 +519,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument(
         "--stride", type=int, help="observable sampling interval"
     )
-    p_walk.add_argument(
+    _add_switch(
+        p_walk,
         "--classical",
-        action="store_true",
-        default=None,
-        help="evolve the classical comparator instead of the quantum walk",
+        "evolve the classical comparator instead of the quantum walk",
     )
-    p_walk.add_argument(
-        "--carpet",
-        action="store_true",
-        default=None,
-        help="also export the spin-asymmetry carpet",
-    )
+    _add_switch(p_walk, "--carpet", "also export the spin-asymmetry carpet")
     p_walk.set_defaults(handler=_cmd_walk)
 
     p_sweep = sub.add_parser("sweep", help="spreading exponent over a theta grid")
     _add_common(p_sweep, many_protocols=True)
     _add_coin(p_sweep, allow_both=True)
-    p_sweep.add_argument(
+    _add_switch(
+        p_sweep,
         "--full-scale",
-        dest="full_scale",
-        action="store_true",
-        default=None,
-        help=f"use t_max = {FULL_SCALE_T_MAX} unless --tmax is given "
-        "(long runtime)",
+        f"use t_max = {FULL_SCALE_T_MAX} unless --tmax is given (long runtime)",
     )
     p_sweep.add_argument(
         "--jobs", type=int, help="worker processes for sweep cells (default: 1)"
@@ -573,9 +558,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise ValueError(
-                f"unknown config fields: {sorted(unknown)}"
-            )
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        file_cfg = {
+            key: _file_value(args.command, key, value)
+            for key, value in file_cfg.items()
+        }
     flags = {key: getattr(args, key, None) for key in defaults}
     given = {key: value for key, value in flags.items() if value is not None}
     return {**defaults, **file_cfg, **given}

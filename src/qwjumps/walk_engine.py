@@ -6,10 +6,14 @@ component moves J sites left and the up component J sites right, where
 J comes from a binary jump-control sequence.  A classical comparator
 evolves a probability profile under the matching symmetric jump map.
 
-The lattice spans x in [-2 t_max, 2 t_max], which no walk started at
-the origin can leave because the largest jump is 2 per step.  Evolution
-never renormalizes: norm drift stays measurable as a correctness
-signal.
+Public states live on the lattice x in [-2 t_max, 2 t_max], which no
+walk started at the origin can leave because the largest jump is 2 per
+step; step() and classical_step() are the dense one-step references on
+it.  evolve() and classical_evolve() run both walkers on one packed
+kernel that keeps only sites of the current parity, inside a live window
+trimmed of edge values below FLUSH_THRESHOLD, and build the dense state
+once, at the end.  Evolution never renormalizes: norm drift stays
+measurable as a correctness signal.
 """
 
 from __future__ import annotations
@@ -44,6 +48,16 @@ __all__ = [
 
 QUANTUM_FIELDS = ("m2", "m4", "kappa", "S", "IPR", "JSD", "S_e")
 CLASSICAL_FIELDS = ("m2", "m4", "kappa", "S", "IPR")
+
+# Every TRIM_INTERVAL steps the evolution drops the edge sites of its live
+# window whose stored reals all lie below FLUSH_THRESHOLD.  An amplitude
+# that small squares to exactly 0.0; a classical mass that small lies far
+# below the last bit of every sum it enters.
+FLUSH_THRESHOLD = 1e-200
+TRIM_INTERVAL = 16
+# A carpet holds (t_max + 1) x (4 t_max + 1) float64 cells; RunConfig
+# refuses one larger than this, which is every t_max above 8191.
+CARPET_MAX_BYTES = 2**31
 
 
 class CoinFamily(str, Enum):
@@ -111,12 +125,8 @@ class SpinorField:
 
     def probability(self) -> np.ndarray:
         """Site occupation profile |down|^2 + |up|^2."""
-        return (
-            self.down.real**2
-            + self.down.imag**2
-            + self.up.real**2
-            + self.up.imag**2
-        )
+        down, up = self.down, self.up
+        return down.real**2 + down.imag**2 + up.real**2 + up.imag**2
 
     def norm(self) -> float:
         """Total occupation; 1 up to floating drift for valid states."""
@@ -162,8 +172,8 @@ class RunConfig:
         record_fields: Observable columns to record, drawn from
             QUANTUM_FIELDS.  Recording JSD co-evolves the classical
             comparator under the same jump schedule.
-        carpet: Also store the spin asymmetry |up|^2 - |down|^2 for
-            every step and site, row-normalized by peak magnitude.
+        carpet: Also store the row-normalized spin asymmetry |up|^2 -
+            |down|^2 per step and site, within CARPET_MAX_BYTES.
     """
 
     coin: CoinSpec
@@ -185,16 +195,17 @@ class RunConfig:
         unknown = set(self.record_fields) - set(QUANTUM_FIELDS)
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
-
-    @property
-    def x_max(self) -> int:
-        # Maximum jump is 2 per step; a degenerate 0-step run still
-        # needs a valid 3-site lattice.
-        return max(1, 2 * self.t_max)
+        if self.carpet and 8 * (self.t_max + 1) * self.extent > CARPET_MAX_BYTES:
+            raise ValueError(
+                f"tmax {self.t_max} is too large for a carpet: its "
+                f"{self.t_max + 1} x {self.extent} float64 cells exceed 2 GiB"
+            )
 
     @property
     def extent(self) -> int:
-        return 2 * self.x_max + 1
+        # x spans [-2 t_max, 2 t_max], as the largest jump is 2 per step;
+        # a 0-step run still needs a valid 3-site lattice.
+        return 4 * max(1, self.t_max) + 1
 
     @property
     def stride(self) -> int:
@@ -310,133 +321,145 @@ def classical_step(profile: ClassicalProfile, jump: int) -> ClassicalProfile:
     return ClassicalProfile(mass=nxt, origin=profile.origin)
 
 
-def _classical_shift(mass, mass_next, lo, hi, j):
-    """Move half of mass[lo:hi] j sites each way, into mass_next.
+class _PackedWalk:
+    """Two-component walk on its parity lattice, in a trimmed live window.
 
-    mass_next holds the profile of two steps ago, whose support sits
-    inside [lo, hi); zeroing only the slice of the new window that the
-    assignment does not cover keeps it clean.  The sums match
-    classical_step() element for element.
+    After steps of summed length S, occupied sites have x = 2k - S with k
+    in [0, S].  A jump J keeps down[k] at k and moves up[k] to k + J, so
+    storing up[k] at buffer index k - S + s_max makes both shifts free and
+    the coin acts in place on the live window [lo, hi), in the operation
+    order of step().  The buffers are zero outside the window.  A complex
+    coin moves amplitudes (mass |up|^2 + |down|^2); _CLASSICAL_COIN moves
+    right- and left-moving classical mass (mass up + down).
     """
-    p = mass[lo:hi]
-    mass_next[lo - j : lo + j] = 0.0
-    mass_next[lo + j : hi + j] = 0.5 * p
-    mass_next[lo - j : hi - j] += 0.5 * p
+
+    def __init__(self, coin: np.ndarray, up0, down0, s_max: int):
+        (self.m00, self.m01), (self.m10, self.m11) = coin
+        dtype = np.result_type(coin, up0, down0)
+        self.up, self.dn = np.zeros((2, s_max + 1), dtype)
+        self.tmp = np.empty((2, s_max + 1), dtype)
+        self.up[s_max], self.dn[0] = up0, down0
+        self.s_max, self.s, self.t = s_max, 0, 0
+        self.lo, self.hi = 0, 1
+
+    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the up and down components over packed sites [lo, hi)."""
+        off = self.s_max - self.s
+        return self.up[lo + off : hi + off], self.dn[lo:hi]
+
+    def profile(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mass and lattice positions x = 2k - S over packed sites [lo, hi)."""
+        u, d = self.window(lo, hi)
+        quantum = u.dtype.kind == "c"
+        mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2 if quantum else u + d
+        return mass, 2.0 * np.arange(lo, hi) - self.s
+
+    def place(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write values over the live window onto a full lattice row."""
+        start = len(out) // 2 - self.s + 2 * self.lo
+        out[start : start + 2 * len(values) : 2] = values
+        return out
+
+    def step(self, jump: int) -> None:
+        u, d = self.window(self.lo, self.hi)
+        a, b = self.tmp[:, : len(d)]
+        np.multiply(self.m00, u, out=a)
+        np.multiply(self.m10, u, out=b)
+        np.multiply(self.m01, d, out=u)
+        np.add(a, u, out=u)
+        np.multiply(self.m11, d, out=d)
+        np.add(b, d, out=d)
+        self.s, self.hi, self.t = self.s + jump, self.hi + jump, self.t + 1
+        if self.t % TRIM_INTERVAL:
+            return
+        # Drop the edge sites whose stored reals all lie below the threshold.
+        u, d = self.window(self.lo, self.hi)
+        big = [np.abs(c.view(np.float64)) >= FLUSH_THRESHOLD for c in (u, d)]
+        live = np.flatnonzero(big[0] | big[1]) // (u.itemsize // 8)
+        first, last = live[0], live[-1] + 1
+        u[:first] = d[:first] = u[last:] = d[last:] = 0.0
+        self.lo, self.hi = self.lo + first, self.lo + last
 
 
-class _Recorder:
-    """Accumulates requested observable columns at sampled steps."""
+_CLASSICAL_COIN = np.full((2, 2), 0.5)
 
-    def __init__(self, fields: tuple[str, ...], positions: np.ndarray):
-        self.fields = fields
-        self.positions = positions.astype(float)
-        self.need_m2 = not {"m2", "kappa"}.isdisjoint(fields)
-        self.need_m4 = not {"m4", "kappa"}.isdisjoint(fields)
-        self.times: list[int] = []
-        self.values: dict[str, list[float]] = {f: [] for f in fields}
 
-    def record_profile(self, t, mass, lo, hi, cw_mass=None, down=None, up=None):
-        self.times.append(t)
-        pos = self.positions[lo:hi]
-        if self.need_m2:
-            m2 = observables.moment(mass, pos, 2)
-        if self.need_m4:
-            m4 = observables.moment(mass, pos, 4)
-        for f in self.fields:
-            if f == "m2":
-                value = m2
-            elif f == "m4":
-                value = m4
-            elif f == "kappa":
-                value = observables.kurtosis(m2, m4) if m2 > 0.0 else math.nan
-            elif f == "S":
-                value = observables.shannon_entropy(mass)
-            elif f == "IPR":
-                value = observables.ipr(mass)
-            elif f == "JSD":
-                value = observables.jsd(mass, cw_mass)
-            elif f == "S_e":
-                rc = observables.reduced_coin_matrix(down, up)
-                value = observables.entanglement_entropy(rc)
-            self.values[f].append(value)
+def _sample(fields, mass, pos, cw_mass=None, down=None, up=None) -> list[float]:
+    """The requested observables of one sampled profile, in field order."""
+    m2 = observables.moment(mass, pos, 2) if {"m2", "kappa"} & set(fields) else None
+    m4 = observables.moment(mass, pos, 4) if {"m4", "kappa"} & set(fields) else None
+    compute = {
+        "m2": lambda: m2,
+        "m4": lambda: m4,
+        "kappa": lambda: observables.kurtosis(m2, m4) if m2 > 0.0 else math.nan,
+        "S": lambda: observables.shannon_entropy(mass),
+        "IPR": lambda: observables.ipr(mass),
+        "JSD": lambda: observables.jsd(mass, cw_mass),
+        "S_e": lambda: observables.entanglement_entropy(
+            observables.reduced_coin_matrix(down, up)
+        ),
+    }
+    return [compute[f]() for f in fields]
 
-    def series(self) -> ObservableSeries:
-        return ObservableSeries(
-            times=np.array(self.times, dtype=np.int64),
-            columns={f: np.array(v) for f, v in self.values.items()},
-        )
+
+def _series(times: list[int], rows: list[list[float]], fields) -> ObservableSeries:
+    columns = np.array(rows, dtype=float).T
+    return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
 
 def evolve(config: RunConfig) -> EvolutionResult:
     """Run the configured walk and sample observables along the way.
 
-    Uses a growing active window over dense arrays: support can widen by
-    at most one jump per side per step, so everything outside the window
-    is exactly zero and is never touched.  The arithmetic is identical,
-    element for element, to repeated application of step().
+    Runs on the packed, trimmed window of _PackedWalk; the JSD comparator
+    runs on the same kernel and is compared over the union of the two
+    windows.  Flushing moves only amplitudes far below 1e-162, which
+    square to exactly 0, so every site probability and carpet cell is
+    identical to repeated application of step().
 
     Returns:
         EvolutionResult; final_norm carries the uncorrected total
         occupation after the last step.
     """
-    coin_m = config.coin.matrix()
-    m00, m01 = coin_m[0, 0], coin_m[0, 1]
-    m10, m11 = coin_m[1, 0], coin_m[1, 1]
     jumps = config.jump_schedule()
-    extent = config.extent
-    state0 = initial_state(config.coin, extent)
-    origin = state0.origin
-    up, dn = state0.up.copy(), state0.down.copy()
-    up_next, dn_next = np.zeros_like(up), np.zeros_like(dn)
-
+    s_max = int(jumps.sum())
+    state0 = initial_state(config.coin, 3)
+    qw = _PackedWalk(config.coin.matrix(), state0.up[1], state0.down[1], s_max)
     need_jsd = "JSD" in config.record_fields
-    cw = cw_next = None
-    if need_jsd:
-        cw = np.zeros(extent)
-        cw[origin] = 1.0
-        cw_next = np.zeros(extent)
-
-    carpet_rows = None
-    if config.carpet:
-        carpet_rows = np.zeros((config.t_max + 1, extent))
-
-    recorder = _Recorder(config.record_fields, state0.positions())
+    cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, s_max) if need_jsd else None
+    shape = (config.t_max + 1, config.extent)
+    carpet_rows = np.zeros(shape) if config.carpet else None
     record_at = set(config.record_times())
-    lo, hi = origin, origin + 1
+    times, rows = [], []
 
     def observe(t: int) -> None:
-        u, d = up[lo:hi], dn[lo:hi]
         if carpet_rows is not None:
-            # Cells outside [lo, hi) are 0: the window's peak is the row's.
+            u, d = qw.window(qw.lo, qw.hi)
             raw = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
-            carpet_rows[t, lo:hi] = observables.asymmetry_carpet(raw[None])[0]
+            # Cells outside the window are 0: the window's peak is the row's.
+            qw.place(observables.asymmetry_carpet(raw[None])[0], carpet_rows[t])
         if t in record_at:
-            mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2
-            cw_mass = cw[lo:hi] if need_jsd else None
-            recorder.record_profile(t, mass, lo, hi, cw_mass=cw_mass, down=d, up=u)
+            lo, hi = qw.lo, qw.hi
+            if need_jsd:
+                lo, hi = min(lo, cw.lo), max(hi, cw.hi)
+            cw_mass = cw.profile(lo, hi)[0] if need_jsd else None
+            u, d = qw.window(lo, hi)
+            times.append(t)
+            rows.append(
+                _sample(config.record_fields, *qw.profile(lo, hi), cw_mass, d, u)
+            )
 
     observe(0)
-    for t in range(1, config.t_max + 1):
-        j = int(jumps[t - 1])
-        u, d = up[lo:hi], dn[lo:hi]
-        # The next buffers hold the state of two steps ago, whose
-        # support sits inside [lo, hi); zeroing only the slices of the
-        # new window the writes below do not cover keeps them clean.
-        up_next[lo - j : lo + j] = 0.0
-        dn_next[hi - j : hi + j] = 0.0
-        up_next[lo + j : hi + j] = m00 * u + m01 * d
-        dn_next[lo - j : hi - j] = m10 * u + m11 * d
-        up, up_next = up_next, up
-        dn, dn_next = dn_next, dn
+    for t, jump in enumerate(jumps.tolist(), 1):
+        qw.step(jump)
         if need_jsd:
-            _classical_shift(cw, cw_next, lo, hi, j)
-            cw, cw_next = cw_next, cw
-        lo, hi = lo - j, hi + j
+            cw.step(jump)
         observe(t)
 
-    final_state = SpinorField(down=dn, up=up, origin=origin)
+    up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
+    u, d = qw.window(qw.lo, qw.hi)
+    final_state = SpinorField(qw.place(d, down), qw.place(u, up), config.extent // 2)
     return EvolutionResult(
-        series=recorder.series(),
+        series=_series(times, rows, config.record_fields),
         final_state=final_state,
         final_norm=final_state.norm(),
         jumps=jumps,
@@ -447,6 +470,8 @@ def evolve(config: RunConfig) -> EvolutionResult:
 def classical_evolve(config: RunConfig) -> ClassicalResult:
     """Run the classical comparator under the configured jump schedule.
 
+    Runs on the kernel of evolve(), so the profile is identical to
+    repeated classical_step() wherever a mass of 1e-200 or more sits.
     Quantum-only record fields are ignored; at least one classical
     field (m2, m4, kappa, S, IPR) must remain requested.
     """
@@ -454,32 +479,20 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     if not fields:
         raise ValueError("no classical record fields requested")
     jumps = config.jump_schedule()
-    extent = config.extent
-    origin = extent // 2
-    mass = np.zeros(extent)
-    mass[origin] = 1.0
-    mass_next = np.zeros(extent)
-
-    recorder = _Recorder(fields, np.arange(extent) - origin)
+    cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, int(jumps.sum()))
     record_at = set(config.record_times())
-    lo, hi = origin, origin + 1
-
-    def observe(t: int) -> None:
+    times, rows = [], []
+    for t, jump in enumerate([0, *jumps.tolist()]):
+        if t > 0:
+            cw.step(jump)
         if t in record_at:
-            recorder.record_profile(t, mass[lo:hi], lo, hi)
+            times.append(t)
+            rows.append(_sample(fields, *cw.profile(cw.lo, cw.hi)))
 
-    observe(0)
-    for t in range(1, config.t_max + 1):
-        j = int(jumps[t - 1])
-        _classical_shift(mass, mass_next, lo, hi, j)
-        mass, mass_next = mass_next, mass
-        lo, hi = lo - j, hi + j
-        observe(t)
-
-    profile = ClassicalProfile(mass=mass, origin=origin)
+    mass = cw.place(cw.profile(cw.lo, cw.hi)[0], np.zeros(config.extent))
     return ClassicalResult(
-        series=recorder.series(),
-        final_profile=profile,
+        series=_series(times, rows, fields),
+        final_profile=ClassicalProfile(mass=mass, origin=config.extent // 2),
         final_mass=float(np.sum(mass)),
         jumps=jumps,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import time
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -206,6 +207,53 @@ class TestOptionPolicy:
         run_ok([*argv, "--config", str(cfg), "--out", str(tmp_path)])
         echo = json.loads((tmp_path / echo_name).read_text())
         assert echo["seed_symbol"] == echoed
+
+
+class TestConfigFileTypes:
+    """Config-file values are held to the types their flags accept."""
+
+    @pytest.mark.parametrize(
+        "command, entry, option",
+        [
+            ("walk", {"classical": "false"}, "classical"),
+            ("walk", {"classical": 1}, "classical"),
+            ("walk", {"carpet": "no"}, "carpet"),
+            ("sweep", {"full_scale": "no"}, "full_scale"),
+            ("walk", {"theta": [0.1, 0.2]}, "theta"),
+            ("walk", {"theta": None}, "theta"),
+            ("carpet", {"theta": "0.5"}, "theta"),
+            ("sweep", {"protocol": 5}, "protocol"),
+            ("sweep", {"protocol": ["fibonacci", 5]}, "protocol"),
+            ("sweep", {"theta": "abc"}, "theta"),
+            ("sweep", {"theta": [0.1, True]}, "theta"),
+        ],
+    )
+    def test_values_of_the_wrong_type_are_refused(
+        self, tmp_path, capsys, command, entry, option
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_values_and_json_booleans_are_accepted(self, tmp_path):
+        cfg = tmp_path / "walk.json"
+        cfg.write_text(json.dumps({"classical": False, "theta": 1, "tmax": 20}))
+        run_ok(["walk", "--config", str(cfg), "--out", str(tmp_path / "walk")])
+        echo = json.loads((tmp_path / "walk" / "config.json").read_text())
+        assert echo["classical"] is False and echo["theta"] == 1.0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps(
+                {"protocol": "standard", "theta": 0.5, "coin": "H", "tmax": 20}
+            )
+        )
+        run_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+        echo = json.loads((tmp_path / "sweep" / "sweep_config.json").read_text())
+        assert echo["protocol"] == ["standard"] and echo["theta"] == [0.5]
 
 
 class TestSeqCommand:
@@ -450,6 +498,18 @@ class TestCarpetCommand:
         assert len(rows) == 1 + 21 * 81
         values = [float(r.split(",")[2]) for r in rows[1:]]
         assert max(abs(v) for v in values) <= 1.0
+
+
+    @pytest.mark.parametrize(
+        "argv", [["carpet"], ["walk", "--carpet"]], ids=["carpet", "walk"]
+    )
+    def test_a_carpet_above_two_gib_is_refused_at_once(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
+        out = tmp_path / "out"
+        assert main([*argv, "--tmax", "8192", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "tmax" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPackaging:

@@ -260,6 +260,25 @@ class TestEvolveAgainstStepReference:
             expected, rel=1e-12, abs=0.0
         )
 
+    def test_jsd_counts_classical_mass_outside_the_quantum_window(self):
+        # At theta = pi/2 the quantum walk stays within a few sites of the
+        # origin and its live window is trimmed, while the classical
+        # profile spreads far past it.
+        config = RunConfig(
+            coin=CoinSpec(CoinFamily.H, math.pi / 2.0),
+            protocol=Protocol.STANDARD,
+            t_max=300,
+            record_fields=("JSD",),
+        )
+        result = evolve(config)
+        classical = classical_evolve(replace(config, record_fields=("m2",)))
+        p = result.final_state.probability()
+        q = classical.final_profile.mass
+        assert np.sum(q[p == 0.0]) > 0.5
+        assert result.series.column("JSD")[-1] == pytest.approx(
+            jsd(p, q), rel=1e-12, abs=0.0
+        )
+
     def test_jump_schedule_matches_the_generated_word(self):
         config = RunConfig(coin=H4, protocol=Protocol.PERIODIC, t_max=9)
         result = evolve(config)
@@ -345,6 +364,12 @@ class TestRecording:
         assert result.carpet.shape == (21, config.extent)
         assert not result.carpet[0].any()
         assert np.abs(result.carpet).max() <= 1.0
+
+    def test_carpet_above_two_gib_is_refused_on_construction(self):
+        # (t_max + 1) (4 t_max + 1) float64 cells pass 2 GiB at t_max = 8192.
+        RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=8191, carpet=True)
+        with pytest.raises(ValueError, match="tmax 8192"):
+            RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=8192, carpet=True)
 
     def test_translation_carpet_marks_the_two_moving_fronts(self):
         config = RunConfig(
@@ -478,6 +503,122 @@ class TestClassicalComparator:
     def test_negative_mass_is_rejected_on_construction(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ClassicalProfile(mass=np.array([0.5, -0.1, 0.6]), origin=1)
+
+
+def momentum_space_m2(coin: CoinSpec, jumps: np.ndarray) -> float:
+    """m2 after the jumps, from the walk's momentum-space transfer matrices.
+
+    With psi(k) = sum_x psi_x e^{-ikx}, one step of jump J is
+    T_J(k) = diag(e^{-ikJ}, e^{ikJ}) C on (up, down), and its k-derivative
+    adds diag(-iJ, iJ) T_J.  The support x = 2m - S, m = 0 .. S, makes
+    |d_k psi|^2 a trigonometric polynomial of degree S in 2k, so its mean
+    over S + 1 even points of [0, pi) is its mean over a period, which by
+    Parseval is sum_x x^2 P(x).
+    """
+    s = int(np.sum(jumps))
+    k = np.pi * np.arange(s + 1) / (s + 1)
+    state = initial_state(coin, 3)
+    psi = np.outer([state.up[1], state.down[1]], np.ones(s + 1))
+    dpsi = np.zeros_like(psi)
+    c = coin.matrix()
+    shift = {j: np.exp(np.outer([-1j * j, 1j * j], k)) for j in (1, 2)}
+    d_shift = {j: np.array([[-1j * j], [1j * j]]) for j in (1, 2)}
+    for jump in jumps.tolist():
+        psi = shift[jump] * (c @ psi)
+        dpsi = shift[jump] * (c @ dpsi) + d_shift[jump] * psi
+    return float(np.mean(np.abs(dpsi[0]) ** 2 + np.abs(dpsi[1]) ** 2))
+
+
+class TestMomentumSpaceOracle:
+    """evolve's m2 against an independent k-space evolution at long horizons."""
+
+    @pytest.mark.parametrize("theta, seed_symbol", [(math.pi / 4.0, 0), (1.3, 1)])
+    @pytest.mark.parametrize("family", [CoinFamily.H, CoinFamily.K])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_second_moment_matches_the_transfer_matrix_product(
+        self, protocol, family, theta, seed_symbol
+    ):
+        coin = CoinSpec(family, theta)
+        config = RunConfig(
+            coin=coin,
+            protocol=protocol,
+            t_max=2048,
+            seed_symbol=seed_symbol,
+            rng_seed=12345 if protocol is Protocol.RANDOM else None,
+            record_stride=2048,
+            record_fields=("m2",),
+        )
+        result = evolve(config)
+        assert result.series.column("m2")[-1] == pytest.approx(
+            momentum_space_m2(coin, result.jumps), rel=1e-12, abs=0.0
+        )
+
+
+def stepped_asymmetry(state: SpinorField) -> np.ndarray:
+    raw = state.up.real**2 + state.up.imag**2 - state.down.real**2 - state.down.imag**2
+    return asymmetry_carpet(raw[None])[0]
+
+
+class TestTrimmingAgainstTheDenseReferences:
+    """Long runs where the live window drops edge sites below the threshold."""
+
+    @pytest.mark.parametrize("family", [CoinFamily.H, CoinFamily.K])
+    @pytest.mark.parametrize(
+        "theta, protocol, t_max, rng_seed",
+        [
+            (1.3, Protocol.FIBONACCI, 600, None),
+            (math.pi / 4.0, Protocol.RUDIN_SHAPIRO, 1500, None),
+            (1.5, Protocol.RANDOM, 400, 77),
+        ],
+        ids=["fibonacci", "rudin-shapiro", "random"],
+    )
+    def test_carpet_equals_the_stepped_asymmetry_bit_for_bit(
+        self, family, theta, protocol, t_max, rng_seed
+    ):
+        coin = CoinSpec(family, theta)
+        config = RunConfig(
+            coin=coin,
+            protocol=protocol,
+            t_max=t_max,
+            rng_seed=rng_seed,
+            record_fields=("m2",),
+            carpet=True,
+        )
+        result = evolve(config)
+        state = initial_state(coin, config.extent)
+        np.testing.assert_array_equal(result.carpet[0], stepped_asymmetry(state))
+        for t, jump in enumerate(result.jumps, 1):
+            state = step(state, coin, int(jump))
+            np.testing.assert_array_equal(result.carpet[t], stepped_asymmetry(state))
+        final = result.final_state
+        np.testing.assert_array_equal(final.probability(), state.probability())
+        # Trimming fired: the reference still holds amplitudes that the
+        # window dropped, and they square to exactly 0.
+        dropped = (state.down != 0.0) & (final.down == 0.0)
+        assert dropped.any()
+        assert not np.any(np.abs(state.down[dropped]) ** 2)
+
+    @pytest.mark.parametrize("protocol", [Protocol.THUE_MORSE, Protocol.RANDOM])
+    def test_classical_mass_matches_stepping(self, protocol):
+        config = RunConfig(
+            coin=H4,
+            protocol=protocol,
+            t_max=1000,
+            rng_seed=77 if protocol is Protocol.RANDOM else None,
+            record_stride=1000,
+            record_fields=("m2",),
+        )
+        result = classical_evolve(config)
+        mass = np.zeros(config.extent)
+        mass[config.extent // 2] = 1.0
+        profile = ClassicalProfile(mass=mass, origin=config.extent // 2)
+        for jump in result.jumps:
+            profile = classical_step(profile, int(jump))
+        ref, got = profile.mass, result.final_profile.mass
+        large = ref >= 1e-150
+        np.testing.assert_allclose(got[large], ref[large], rtol=1e-12, atol=0.0)
+        assert np.sum(np.abs(got - ref)) < 1e-180
+        assert np.any((ref > 0.0) & (got == 0.0))
 
 
 class TestFieldSets:
