@@ -11,6 +11,13 @@ terminated lines, and shortest-roundtrip float formatting, so reruns
 with identical inputs are byte-identical.  A JSON config file passed
 via --config may hold any of the command's options (keys match the
 long flag names with underscores); explicit flags win on conflict.
+
+One table, _COMMANDS, declares every option of every command: its
+default, its flag, and its parser.  A parser takes (key, value) and
+returns the typed, range-checked value, or raises ValueError naming the
+key.  It runs on every value, from the defaults, the file and the
+flags alike, so handlers receive only parsed values.  Each command's
+JSON echo is its parsed options plus the values it resolved from them.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +40,7 @@ from .errors import (
 # to_jumps is unused here but stays importable: bench/tracing.py wraps it
 # by name on this module.
 from .sequences import Protocol, generate, to_jumps  # noqa: F401
-from .walk_engine import CoinFamily, CoinSpec, RunConfig, classical_evolve, evolve
+from .walk_engine import CoinSpec, RunConfig, classical_evolve, evolve
 
 __all__ = ["main"]
 
@@ -43,32 +49,6 @@ DEFAULT_THETA_POINTS = 33
 FULL_SCALE_T_MAX = 200_000
 
 _ALL_PROTOCOLS = [p.value for p in Protocol]
-
-_SINGLE_RUN = {"protocol": "standard", "seed_symbol": 0, "rng_seed": None, "out": "."}
-_COIN = {"coin": "H", "theta": math.pi / 4.0}
-_DEFAULTS: dict[str, dict] = {
-    "seq": {**_SINGLE_RUN, "tmax": 10_000, "stride": None, "tau_max": None},
-    "walk": {
-        **_SINGLE_RUN,
-        **_COIN,
-        "tmax": 2000,
-        "stride": None,
-        "classical": False,
-        "carpet": False,
-    },
-    "sweep": {
-        "protocol": _ALL_PROTOCOLS,
-        "coin": "both",
-        "theta": None,
-        "tmax": None,
-        "seed_symbol": "both",
-        "rng_seed": None,
-        "full_scale": False,
-        "jobs": 1,
-        "out": ".",
-    },
-    "carpet": {**_SINGLE_RUN, **_COIN, "tmax": 200},
-}
 
 
 def _cell(value) -> str:
@@ -96,38 +76,106 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _require_int(cfg: dict, key: str, minimum: int | None = None) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key} must be at least {minimum}, got {value}")
+# ------------------------------------------------------------ parsers
+
+
+def _either(choices) -> str:
+    """'a or b', or 'a, b, or c'."""
+    *head, last = map(str, choices)
+    return f"{', '.join(head)}{',' if len(head) > 1 else ''} or {last}"
+
+
+def _pick(*choices: str):
+    """A parser accepting one of the strings in choices."""
+
+    def parse(key: str, value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"{key} must be {_either(choices)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _integer(minimum: int):
+    """A parser accepting integers of at least minimum; bools are refused."""
+
+    def parse(key: str, value) -> int:
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{key} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _switch(key: str, value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-# Types and wording for config-file values, which skip argparse's types.
-_FILE_TYPES = {
-    "classical": (bool, "true or false"),
-    "carpet": (bool, "true or false"),
-    "full_scale": (bool, "true or false"),
-    "theta": ((int, float), "a number"),
-    "protocol": (str, "a protocol name"),
-}
+def _path(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a path string, got {value!r}")
+    return value
 
 
-def _file_value(command: str, key: str, value):
-    """A config-file value checked as its flag is; sweep's become lists."""
-    if key not in _FILE_TYPES or value is None and _DEFAULTS[command][key] is None:
-        return value
-    kind, noun = _FILE_TYPES[key]
-    many = command == "sweep" and key in ("protocol", "theta")
-    items = value if many and isinstance(value, list) else [value]
-    ok = [isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in items]
-    if not all(ok):
-        plural = " or a list of them" if many else ""
-        raise ValueError(f"{key} must be {noun}{plural}, got {value!r}")
-    return items if many else value
+def _seed_symbol(key: str, value) -> int:
+    """0 or 1, from an integer or from a string, as flags give it."""
+    if type(value) not in (int, str) or value not in (0, 1, "0", "1"):
+        raise ValueError(f"{key} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def _theta(key: str, value) -> float:
+    """A coin angle in [0, pi/2] radians; integers are taken as floats."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not 0.0 <= value <= math.pi / 2.0 + 1e-15:
+        raise ValueError(f"{key} must lie in [0, pi/2] radians, got {value!r}")
+    return float(value)
+
+
+def _or_both(parse, both: list):
+    """A parser of a list: [parse(value)], or all of both for "both"."""
+
+    def parse_or_both(key: str, value) -> list:
+        if value == "both":
+            return list(both)
+        try:
+            return [parse(key, value)]
+        except ValueError:
+            words = _either([*both, "both"])
+            raise ValueError(f"{key} must be {words}, got {value!r}") from None
+
+    return parse_or_both
+
+
+def _listed(key: str, value) -> list:
+    """One value, or a nonempty list of them, as a list."""
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ValueError(f"{key} must not be an empty list")
+    return items
+
+
+_protocol = _pick(*_ALL_PROTOCOLS)
+
+
+def _protocols(key: str, value) -> list[str]:
+    protocols = [_protocol(key, v) for v in _listed(key, value)]
+    if len(set(protocols)) != len(protocols):
+        raise ValueError(f"{key} list holds duplicates")
+    return protocols
+
+
+def _theta_grid(key: str, value) -> list[float]:
+    """Sweep angles, sorted and without repeats."""
+    return sorted({_theta(key, v) for v in _listed(key, value)})
+
+
+# ----------------------------------------------------------- handlers
 
 
 def _resolve_rng_seed(cfg: dict, protocols: list[str]) -> int | None:
@@ -139,26 +187,11 @@ def _resolve_rng_seed(cfg: dict, protocols: list[str]) -> int | None:
                 f"not {', '.join(map(repr, protocols))}"
             )
         return None
-    if cfg["rng_seed"] is None:
-        return DEFAULT_RNG_SEED
-    return _require_int(cfg, "rng_seed", minimum=0)
-
-
-def _parse_seed_symbol(value, *, allow_both: bool = False) -> list[int]:
-    """The seed symbols that value selects: [0], [1], or, for "both", [0, 1].
-
-    As for every integer option, bools and floats are refused.
-    """
-    if allow_both and value == "both":
-        return [0, 1]
-    if type(value) not in (int, str) or str(value) not in ("0", "1"):
-        choices = "0, 1, or both" if allow_both else "0 or 1"
-        raise ValueError(f"seed_symbol must be {choices}, got {value!r}")
-    return [int(value)]
+    return DEFAULT_RNG_SEED if cfg["rng_seed"] is None else cfg["rng_seed"]
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(str(cfg["out"]))
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -173,21 +206,19 @@ def _series_rows(series):
 
 
 def _cmd_seq(cfg: dict) -> None:
-    protocol = Protocol(cfg["protocol"])
-    [seed_symbol] = _parse_seed_symbol(cfg["seed_symbol"])
-    t_max = _require_int(cfg, "tmax", minimum=1)
-    rng_seed = _resolve_rng_seed(cfg, [protocol.value])
+    t_max = cfg["tmax"]
+    rng_seed = _resolve_rng_seed(cfg, [cfg["protocol"]])
+    # The word holds t_max + 1 symbols; both horizons must fit in it, and
+    # are checked before any file is written.
+    stride = min(100, t_max + 1) if cfg["stride"] is None else cfg["stride"]
+    tau_max = min(200, t_max - 1) if cfg["tau_max"] is None else cfg["tau_max"]
+    if stride > t_max + 1:
+        raise ValueError(f"stride must be at most tmax + 1, got {stride}")
+    if tau_max > t_max - 1:
+        raise ValueError(f"tau_max must be at most tmax - 1, got {tau_max}")
     out = _out_dir(cfg)
 
-    seq = generate(protocol, seed_symbol, t_max, rng_seed=rng_seed)
-    length = len(seq)
-    stride = cfg["stride"]
-    stride = min(100, length) if stride is None else _require_int(cfg, "stride", 1)
-    tau_max = cfg["tau_max"]
-    tau_max = (
-        min(200, length - 2) if tau_max is None else _require_int(cfg, "tau_max", 1)
-    )
-
+    seq = generate(cfg["protocol"], cfg["seed_symbol"], t_max, rng_seed=rng_seed)
     _write_csv(out / "sequence.csv", ["b_t"], ((int(s),) for s in seq.symbols))
     _write_json(out / "sequence.json", seq.json_record())
 
@@ -223,55 +254,22 @@ def _cmd_seq(cfg: dict) -> None:
             zip(spectrum.frequencies / omega_max, spectrum.power),
         )
 
-    _write_json(
-        out / "config.json",
-        {
-            "command": "seq",
-            "protocol": protocol.value,
-            "seed_symbol": seed_symbol,
-            "rng_seed": rng_seed,
-            "tmax": t_max,
-            "stride": stride,
-            "tau_max": tau_max,
-            "out": str(cfg["out"]),
-        },
-    )
+    resolved = {"rng_seed": rng_seed, "stride": stride, "tau_max": tau_max}
+    _write_json(out / "config.json", {**cfg, "command": "seq", **resolved})
 
 
 # --------------------------------------------------------------- walk
 
 
-def _run_config(cfg: dict, *, carpet: bool, t_max: int) -> RunConfig:
-    [seed_symbol] = _parse_seed_symbol(cfg["seed_symbol"])
-    protocol = Protocol(cfg["protocol"])
-    coin = CoinSpec(CoinFamily(cfg["coin"]), float(cfg["theta"]))
-    stride = cfg.get("stride")
-    stride = stride if stride is None else _require_int(cfg, "stride", minimum=1)
+def _run_config(cfg: dict, **plan) -> RunConfig:
     return RunConfig(
-        coin=coin,
-        protocol=protocol,
-        t_max=t_max,
-        seed_symbol=seed_symbol,
-        rng_seed=_resolve_rng_seed(cfg, [protocol.value]),
-        record_stride=stride,
-        carpet=carpet,
+        coin=CoinSpec(cfg["coin"], cfg["theta"]),
+        protocol=cfg["protocol"],
+        t_max=cfg["tmax"],
+        seed_symbol=cfg["seed_symbol"],
+        rng_seed=_resolve_rng_seed(cfg, [cfg["protocol"]]),
+        **plan,
     )
-
-
-def _echo_run(cfg: dict, run: RunConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "protocol": run.protocol.value,
-        "coin": run.coin.family.value,
-        "theta": run.coin.theta,
-        "tmax": run.t_max,
-        "seed_symbol": run.seed_symbol,
-        "rng_seed": run.rng_seed,
-        "stride": run.stride,
-        "classical": cfg.get("classical", False),
-        "carpet": run.carpet,
-        "out": str(cfg["out"]),
-    }
 
 
 def _fit_payload(series) -> dict:
@@ -288,10 +286,9 @@ def _fit_payload(series) -> dict:
 
 
 def _cmd_walk(cfg: dict) -> None:
-    t_max = _require_int(cfg, "tmax", minimum=0)
     if cfg["classical"] and cfg["carpet"]:
         raise ValueError("carpet needs the quantum walk: classical has no spin")
-    run = _run_config(cfg, carpet=cfg["carpet"], t_max=t_max)
+    run = _run_config(cfg, record_stride=cfg["stride"], carpet=cfg["carpet"])
     out = _out_dir(cfg)
     result = classical_evolve(run) if cfg["classical"] else evolve(run)
     series = result.series
@@ -300,7 +297,8 @@ def _cmd_walk(cfg: dict) -> None:
         ["t", *series.columns],
         _series_rows(series),
     )
-    _write_json(out / "config.json", _echo_run(cfg, run, "walk"))
+    resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
+    _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
     _write_json(out / "fit.json", _fit_payload(series))
     if run.carpet:
         _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
@@ -320,13 +318,14 @@ def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None
 
 
 def _cmd_carpet(cfg: dict) -> None:
-    t_max = _require_int(cfg, "tmax", minimum=0)
-    run = _run_config(cfg, carpet=True, t_max=t_max)
-    run = replace(run, record_fields=("m2",))
+    run = _run_config(cfg, record_fields=("m2",), carpet=True)
     out = _out_dir(cfg)
     result = evolve(run)
     _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
-    _write_json(out / "config.json", _echo_run(cfg, run, "carpet"))
+    # The echo keeps walk's keys: a carpet is a quantum walk with --carpet.
+    resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
+    echo = {**cfg, "command": "carpet", **resolved, "classical": False, "carpet": True}
+    _write_json(out / "config.json", echo)
 
 
 # -------------------------------------------------------------- sweep
@@ -352,7 +351,8 @@ def _sweep_cell(run: RunConfig) -> tuple[str | None, float, float]:
 def _map_cells(worker, cells: list, jobs: int) -> list:
     if jobs <= 1 or len(cells) <= 1:
         return [worker(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Workers beyond one per cell would start and sit idle.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(worker, cells))
 
 
@@ -364,35 +364,14 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _cmd_sweep(cfg: dict) -> None:
-    protocols = [Protocol(p).value for p in cfg["protocol"]]
-    if len(set(protocols)) != len(protocols):
-        raise ValueError("protocol list holds duplicates")
-
-    coin = str(cfg["coin"])
-    if coin not in ("H", "K", "both"):
-        raise ValueError(f"coin must be H, K, or both, got {coin!r}")
-    families = ["H", "K"] if coin == "both" else [coin]
-
-    seeds = _parse_seed_symbol(cfg["seed_symbol"], allow_both=True)
-
-    full_scale = cfg["full_scale"]
-    if cfg["tmax"] is not None:
-        t_max = _require_int(cfg, "tmax", minimum=10)
-    else:
-        t_max = FULL_SCALE_T_MAX if full_scale else 2000
-
-    thetas = cfg["theta"]
-    if thetas is None:
-        grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_THETA_POINTS)
-    else:
-        grid = np.array(sorted({float(v) for v in thetas}), dtype=float)
-    if len(grid) == 0:
-        raise ValueError("theta grid must be nonempty")
-    if grid[0] < 0.0 or grid[-1] > math.pi / 2.0 + 1e-15:
-        raise ValueError("theta values must lie in [0, pi/2]")
-
+    protocols, families, seeds = cfg["protocol"], cfg["coin"], cfg["seed_symbol"]
+    t_max = cfg["tmax"]
+    if t_max is None:
+        t_max = FULL_SCALE_T_MAX if cfg["full_scale"] else 2000
+    grid = cfg["theta"]
+    if grid is None:
+        grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_THETA_POINTS).tolist()
     rng_seed = _resolve_rng_seed(cfg, protocols)
-    jobs = _require_int(cfg, "jobs", minimum=1)
     out = _out_dir(cfg)
 
     cells = [
@@ -409,7 +388,7 @@ def _cmd_sweep(cfg: dict) -> None:
         for protocol in protocols
         for seed in seeds
     ]
-    results = _map_cells(_sweep_cell, cells, jobs)
+    results = _map_cells(_sweep_cell, cells, cfg["jobs"])
     for run, (error, _, _) in zip(cells, results):
         if error is not None:
             raise QwjumpsError(
@@ -431,69 +410,78 @@ def _cmd_sweep(cfg: dict) -> None:
             ]
             _write_csv(out / f"alpha_{walker}_{family}.csv", header, rows)
 
-    _write_json(
-        out / "sweep_config.json",
-        {
-            "command": "sweep",
-            "theta": [float(v) for v in grid],
-            "protocol": protocols,
-            "coin": families,
-            "seed_symbol": seeds,
-            "rng_seed": rng_seed,
-            "tmax": t_max,
-            "full_scale": full_scale,
-            "jobs": jobs,
-            "out": str(cfg["out"]),
-        },
-    )
+    resolved = {"theta": grid, "tmax": t_max, "rng_seed": rng_seed}
+    _write_json(out / "sweep_config.json", {**cfg, "command": "sweep", **resolved})
 
 
 # --------------------------------------------------------------- main
 
 
-def _add_common(parser: argparse.ArgumentParser, *, many_protocols=False) -> None:
-    parser.add_argument("--config", help="JSON file holding option defaults")
-    parser.add_argument(
-        "--protocol",
-        nargs="+" if many_protocols else None,
-        choices=_ALL_PROTOCOLS,
-        help="jump-control protocols to sweep (default: all)"
-        if many_protocols
-        else "jump-control protocol (default: standard)",
-    )
-    parser.add_argument(
-        "--seed-symbol",
-        dest="seed_symbol",
-        help="first symbol of the jump-control word",
-    )
-    parser.add_argument(
-        "--rng-seed",
-        dest="rng_seed",
-        type=int,
-        help="shuffle seed for the random protocol "
-        f"(default: {DEFAULT_RNG_SEED})",
-    )
-    parser.add_argument("--tmax", type=int, help="number of evolution steps")
-    parser.add_argument("--out", help="output directory (default: .)")
+def _opt(default, parse, help: str, **flag) -> tuple:
+    """One option: its default, its parser, and its add_argument keywords."""
+    return default, parse, {"help": help, **flag}
 
 
-def _add_coin(parser: argparse.ArgumentParser, *, allow_both=False) -> None:
-    choices = ["H", "K", "both"] if allow_both else ["H", "K"]
-    parser.add_argument("--coin", choices=choices, help="coin family")
-    parser.add_argument(
-        "--theta",
-        nargs="+" if allow_both else None,
-        type=float,
-        help="theta grid values in radians (default: 33 even points)"
-        if allow_both
-        else "coin angle in radians (default: pi/4)",
-    )
+_TMAX = "number of evolution steps"
+# The options of seq, walk and carpet, in flag order.
+_SINGLE_RUN = {
+    "protocol": _opt("standard", _protocol, "jump-control protocol (default: standard)",
+                     choices=_ALL_PROTOCOLS),
+    "seed_symbol": _opt(0, _seed_symbol, "first symbol of the jump-control word"),
+    "rng_seed": _opt(None, _integer(0), "shuffle seed for the random protocol "
+                     f"(default: {DEFAULT_RNG_SEED})", type=int),
+    "tmax": _opt(2000, _integer(0), _TMAX, type=int),
+    "out": _opt(".", _path, "output directory (default: .)"),
+}
+_COIN = {
+    "coin": _opt("H", _pick("H", "K"), "coin family", choices=["H", "K"]),
+    "theta": _opt(math.pi / 4.0, _theta, "coin angle in radians (default: pi/4)",
+                  type=float),
+}
 
-
-def _add_switch(parser: argparse.ArgumentParser, flag: str, help: str) -> None:
-    """A true/false option; absent, it defers to the config file and defaults."""
-    dest = flag[2:].replace("-", "_")
-    parser.add_argument(flag, dest=dest, action="store_true", default=None, help=help)
+# command -> (handler, help, options).  Updating a key keeps its place,
+# so the flags of every command come in the order of _SINGLE_RUN.
+_COMMANDS = {
+    "seq": (_cmd_seq, "sequence generation and diagnostics", {
+        **_SINGLE_RUN,
+        "tmax": _opt(10_000, _integer(2), _TMAX, type=int),
+        "stride": _opt(None, _integer(1), "prefix stride of the complexity curve",
+                       type=int),
+        "tau_max": _opt(None, _integer(1), "largest autocorrelation lag", type=int),
+    }),
+    "walk": (_cmd_walk, "single evolution", {
+        **_SINGLE_RUN,
+        **_COIN,
+        "stride": _opt(None, _integer(1), "observable sampling interval", type=int),
+        "classical": _opt(False, _switch, "evolve the classical comparator "
+                          "instead of the quantum walk", action="store_true"),
+        "carpet": _opt(False, _switch, "also export the spin-asymmetry carpet",
+                       action="store_true"),
+    }),
+    "sweep": (_cmd_sweep, "spreading exponent over a theta grid", {
+        **_SINGLE_RUN,
+        "protocol": _opt(_ALL_PROTOCOLS, _protocols,
+                         "jump-control protocols to sweep (default: all)",
+                         nargs="+", choices=_ALL_PROTOCOLS),
+        "seed_symbol": _opt("both", _or_both(_seed_symbol, [0, 1]),
+                            "first symbol of the jump-control word"),
+        "tmax": _opt(None, _integer(10), _TMAX, type=int),
+        "coin": _opt("both", _or_both(_pick("H", "K"), ["H", "K"]), "coin family",
+                     choices=["H", "K", "both"]),
+        "theta": _opt(None, _theta_grid,
+                      "theta grid values in radians (default: 33 even points)",
+                      nargs="+", type=float),
+        "full_scale": _opt(False, _switch, f"use t_max = {FULL_SCALE_T_MAX} unless "
+                           "--tmax is given (long runtime)", action="store_true"),
+        "jobs": _opt(1, _integer(1), "worker processes for sweep cells (default: 1)",
+                     type=int),
+    }),
+    "carpet": (_cmd_carpet, "spin-asymmetry carpet export", {
+        **_SINGLE_RUN,
+        "tmax": _opt(200, _integer(0), _TMAX, type=int),
+        **_COIN,
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,77 +490,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum walks driven by binary jump-control sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seq = sub.add_parser("seq", help="sequence generation and diagnostics")
-    _add_common(p_seq)
-    p_seq.add_argument(
-        "--stride", type=int, help="prefix stride of the complexity curve"
-    )
-    p_seq.add_argument(
-        "--tau-max", dest="tau_max", type=int, help="largest autocorrelation lag"
-    )
-    p_seq.set_defaults(handler=_cmd_seq)
-
-    p_walk = sub.add_parser("walk", help="single evolution")
-    _add_common(p_walk)
-    _add_coin(p_walk)
-    p_walk.add_argument(
-        "--stride", type=int, help="observable sampling interval"
-    )
-    _add_switch(
-        p_walk,
-        "--classical",
-        "evolve the classical comparator instead of the quantum walk",
-    )
-    _add_switch(p_walk, "--carpet", "also export the spin-asymmetry carpet")
-    p_walk.set_defaults(handler=_cmd_walk)
-
-    p_sweep = sub.add_parser("sweep", help="spreading exponent over a theta grid")
-    _add_common(p_sweep, many_protocols=True)
-    _add_coin(p_sweep, allow_both=True)
-    _add_switch(
-        p_sweep,
-        "--full-scale",
-        f"use t_max = {FULL_SCALE_T_MAX} unless --tmax is given (long runtime)",
-    )
-    p_sweep.add_argument(
-        "--jobs", type=int, help="worker processes for sweep cells (default: 1)"
-    )
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_carpet = sub.add_parser("carpet", help="spin-asymmetry carpet export")
-    _add_common(p_carpet)
-    _add_coin(p_carpet)
-    p_carpet.set_defaults(handler=_cmd_carpet)
-
+    for command, (_, help, options) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help)
+        p_command.add_argument("--config", help="JSON file holding option defaults")
+        for key, (_, _, flag) in options.items():
+            # An absent flag stays None: it defers to the file and defaults.
+            p_command.add_argument("--" + key.replace("_", "-"), default=None, **flag)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    file_cfg = {}
+    """Defaults, then the config file, then flags; every value parsed."""
+    options = _COMMANDS[args.command][2]
+    layers = [{key: default for key, (default, _, _) in options.items()}]
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(options)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        file_cfg = {
-            key: _file_value(args.command, key, value)
-            for key, value in file_cfg.items()
-        }
-    flags = {key: getattr(args, key, None) for key in defaults}
-    given = {key: value for key, value in flags.items() if value is not None}
-    return {**defaults, **file_cfg, **given}
+        layers.append(file_cfg)
+    flags = {key: getattr(args, key) for key in options}
+    layers.append({key: value for key, value in flags.items() if value is not None})
+    cfg = {}
+    for layer in layers:
+        for key, value in layer.items():
+            default, parse, _ = options[key]
+            cfg[key] = value if value is None and default is None else parse(key, value)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        args.handler(cfg)
+        _COMMANDS[args.command][0](_resolve(args))
     except (QwjumpsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve, evolve
+from qwjumps import cli_runner
 from qwjumps.cli_runner import DEFAULT_RNG_SEED, main
 from qwjumps.observables import fit_alpha
 
@@ -226,6 +227,11 @@ class TestConfigFileTypes:
             ("sweep", {"protocol": ["fibonacci", 5]}, "protocol"),
             ("sweep", {"theta": "abc"}, "theta"),
             ("sweep", {"theta": [0.1, True]}, "theta"),
+            ("walk", {"out": None}, "out"),
+            ("walk", {"out": 7}, "out"),
+            ("sweep", {"protocol": []}, "protocol"),
+            ("walk", {"coin": "both"}, "coin"),
+            ("walk", {"protocol": "foo"}, "protocol"),
         ],
     )
     def test_values_of_the_wrong_type_are_refused(
@@ -254,6 +260,97 @@ class TestConfigFileTypes:
         run_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
         echo = json.loads((tmp_path / "sweep" / "sweep_config.json").read_text())
         assert echo["protocol"] == ["standard"] and echo["theta"] == [0.5]
+
+
+def _parity_cases():
+    single_run = [
+        ("protocol", ["fibonacci"], "fibonacci"),
+        ("seed_symbol", ["1"], 1),
+        ("rng_seed", ["5"], 5),
+        ("out", ["res"], "res"),
+    ]
+    coin = [("coin", ["K"], "K"), ("theta", ["0.3"], 0.3)]
+    per_command = {
+        "seq": [
+            *single_run,
+            ("tmax", ["50"], 50),
+            ("stride", ["7"], 7),
+            ("tau_max", ["10"], 10),
+        ],
+        "walk": [
+            *single_run,
+            *coin,
+            ("tmax", ["40"], 40),
+            ("stride", ["3"], 3),
+            ("classical", [], True),
+            ("carpet", [], True),
+        ],
+        "carpet": [*single_run, *coin, ("tmax", ["12"], 12)],
+        "sweep": [
+            *single_run[2:],
+            ("protocol", ["fibonacci", "standard"], ["fibonacci", "standard"]),
+            ("seed_symbol", ["both"], "both"),
+            ("coin", ["both"], "both"),
+            ("theta", ["1.0", "0.25"], [1.0, 0.25]),
+            ("tmax", ["25"], 25),
+            ("full_scale", [], True),
+            ("jobs", ["2"], 2),
+        ],
+    }
+    return [
+        pytest.param(command, *case, id=f"{command}-{case[0]}")
+        for command, cases in per_command.items()
+        for case in cases
+    ]
+
+
+class TestFlagFileParity:
+    """An option given as a flag or in --config yields the same files."""
+
+    # Flags every run of a command shares, unless the option under test
+    # replaces one.  random admits rng_seed; sweep's fixed tmax keeps
+    # --full-scale short.
+    BASE = {
+        "seq": {"protocol": ["random"], "tmax": ["40"]},
+        "walk": {"protocol": ["random"], "tmax": ["30"]},
+        "carpet": {"protocol": ["random"], "tmax": ["10"]},
+        "sweep": {
+            "protocol": ["random"],
+            "theta": ["0.5"],
+            "coin": ["H"],
+            "seed_symbol": ["0"],
+            "tmax": ["20"],
+        },
+    }
+
+    @pytest.mark.parametrize("command, option, tokens, value", _parity_cases())
+    def test_flag_and_file_values_write_identical_files(
+        self, tmp_path, monkeypatch, command, option, tokens, value
+    ):
+        base = {**self.BASE[command]}
+        base.pop(option, None)
+        argv = [command]
+        for key, values in base.items():
+            argv += ["--" + key.replace("_", "-"), *values]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: value}))
+        files = {}
+        for side, extra in (
+            ("flag", ["--" + option.replace("_", "-"), *tokens]),
+            ("file", ["--config", str(config)]),
+        ):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            run_ok(argv + extra)
+            files[side] = {
+                str(path.relative_to(tmp_path / side)): path.read_bytes()
+                for path in (tmp_path / side).rglob("*")
+                if path.is_file()
+            }
+        echo = "sweep_config.json" if command == "sweep" else "config.json"
+        out = "res" if option == "out" else "."
+        assert str(Path(out, echo)) in files["flag"]
+        assert files["flag"] == files["file"]
 
 
 class TestSeqCommand:
@@ -316,6 +413,24 @@ class TestSeqCommand:
         )
         echo = json.loads((tmp_path / "config.json").read_text())
         assert echo["stride"] == 11
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--tmax", "1"], "tmax"),
+            (["--tmax", "10", "--tau-max", "50"], "tau_max"),
+            (["--tmax", "10", "--stride", "50"], "stride"),
+        ],
+        ids=["tmax", "tau_max", "stride"],
+    )
+    def test_horizons_beyond_the_word_are_refused_before_any_file(
+        self, tmp_path, capsys, argv, option
+    ):
+        out = tmp_path / "out"
+        assert main(["seq", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -472,6 +587,33 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "sweep cell failed" in err
         assert "standard" in err
+
+    def test_worker_processes_are_capped_at_the_cell_count(
+        self, tmp_path, monkeypatch
+    ):
+        started = []
+
+        class RecordingPool:
+            """Runs cells in-process and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, cells):
+                return map(worker, cells)
+
+        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        run_ok(self.ARGV + ["--jobs", "64", "--out", str(tmp_path)])
+        # 2 thetas x 2 protocols x 2 seed symbols, one coin family.
+        assert started == [8]
+        config = json.loads((tmp_path / "sweep_config.json").read_text())
+        assert config["jobs"] == 64
 
     def test_duplicate_protocols_are_rejected(self, tmp_path, capsys):
         code = main(
