@@ -1,7 +1,10 @@
 """Diagnostics for binary words.
 
-Covers Lempel-Ziv complexity (Kaspar-Schuster scan), autocorrelation,
-normalized power spectral density, and cumulative symbol balance.
+Covers Lempel-Ziv complexity, autocorrelation, normalized power spectral
+density, and cumulative symbol balance.  Complexity comes from one
+Kaspar-Schuster scan (Phys. Rev. A 36, 842 (1987)); its test of a
+candidate ending at position q reads only the first q symbols, so the
+one scan yields the complexity of every prefix.
 """
 
 from __future__ import annotations
@@ -27,27 +30,21 @@ __all__ = [
 
 
 def _as_word(word) -> str:
-    """Coerce a BinarySequence, string, or int iterable to a '0'/'1' string."""
-    if isinstance(word, BinarySequence):
-        return word.word()
+    """Coerce a BinarySequence, string, or 0/1 iterable to a '0'/'1' string."""
     if isinstance(word, str):
-        text = word
-    else:
-        text = "".join(str(int(s)) for s in word)
-    if not set(text) <= {"0", "1"}:
-        raise ValueError("word must contain only the symbols 0 and 1")
-    return text
-
-
-def _as_values(word) -> np.ndarray:
+        if not set(word) <= {"0", "1"}:
+            raise ValueError("word must contain only the symbols 0 and 1")
+        return word
     if isinstance(word, BinarySequence):
-        return word.symbols.astype(float)
-    if isinstance(word, str):
-        return np.array([int(c) for c in _as_word(word)], dtype=float)
+        word = word.symbols
     values = np.asarray(word, dtype=float)
     if values.ndim != 1 or not np.isin(values, (0.0, 1.0)).all():
         raise ValueError("word must be a 1-D sequence over {0, 1}")
-    return values
+    return (values + ord("0")).astype(np.uint8).tobytes().decode()
+
+
+def _as_values(word) -> np.ndarray:
+    return np.frombuffer(_as_word(word).encode(), dtype=np.uint8) - float(ord("0"))
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,21 @@ class SpectrumRecord:
     power: np.ndarray
 
 
+def _scan(w: str) -> list[int]:
+    """Kaspar-Schuster scan: the start of every component, the pending one's too."""
+    starts = [0, 1]
+    q_start, p = 1, -1  # candidate Q = w[q_start:q_end]; p its earliest start
+    for q_end in range(2, len(w) + 1):
+        # p < 0 marks a new one-symbol Q.  Otherwise Q minus its last symbol
+        # first occurs at p, within w[:q_end - 2], so Q occurs at p or later.
+        if p < 0 or w[p + q_end - q_start - 1] != w[q_end - 1]:
+            p = w.find(w[q_start:q_end], p + 1, q_end - 1)
+        if p < 0:
+            starts.append(q_end)
+            q_start = q_end
+    return starts
+
+
 def lzc(word) -> LzcTrace:
     """Lempel-Ziv complexity of a binary word via the Kaspar-Schuster scan.
 
@@ -92,6 +104,10 @@ def lzc(word) -> LzcTrace:
     and the scan restarts after it.  A leftover candidate at the end of
     the word counts as one final component, so a constant word of any
     length parses into exactly two components.
+
+    The scan keeps the earliest occurrence of Q.  An extended Q is first
+    tried there by one symbol comparison and only then searched for past
+    it, since no occurrence can start earlier.
 
     Args:
         word: Nonempty word over {0, 1}.
@@ -105,22 +121,17 @@ def lzc(word) -> LzcTrace:
     w = _as_word(word)
     if not w:
         raise ValueError("word must be nonempty")
-    n = len(w)
-    parts = [w[:1]]
-    q_start, q_end = 1, 2  # candidate Q = w[q_start:q_end]
-    while q_end <= n:
-        if w[q_start:q_end] in w[: q_end - 1]:
-            q_end += 1
-        else:
-            parts.append(w[q_start:q_end])
-            q_start, q_end = q_end, q_end + 1
-    if q_start < n:
-        parts.append(w[q_start:])
-    return LzcTrace(complexity=len(parts), partitions=tuple(parts))
+    starts = _scan(w)
+    bounds = [s for s in starts if s < len(w)] + [len(w)]
+    parts = tuple(w[a:b] for a, b in zip(bounds, bounds[1:]))
+    return LzcTrace(complexity=len(parts), partitions=parts)
 
 
 def lzc_curve(word, stride: int) -> ObservableSeries:
     """Complexity of each prefix of length stride, 2 * stride, and so on.
+
+    Every value equals ``lzc`` of its prefix, read off one scan of the
+    whole word: it counts the components that start inside the prefix.
 
     Args:
         word: Nonempty word over {0, 1}.
@@ -134,7 +145,7 @@ def lzc_curve(word, stride: int) -> ObservableSeries:
     if stride < 1 or stride > len(w):
         raise ValueError("stride must be in 1 .. len(word)")
     lengths = np.arange(stride, len(w) + 1, stride)
-    values = np.array([lzc(w[: int(n)]).complexity for n in lengths])
+    values = np.searchsorted(_scan(w), lengths)
     return ObservableSeries(times=lengths, columns={"lzc": values})
 
 

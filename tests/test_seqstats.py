@@ -1,9 +1,10 @@
 """Diagnostics of binary words: complexity, correlation, spectrum, balance.
 
-The complexity scanner is audited two ways: the four hand-traceable
-words with their exact parses, and an exhaustive property check of the
+The complexity scanner is audited three ways: the four hand-traceable
+words with their exact parses, an exhaustive property check of the
 emitted parse over every binary word up to length 12 using a naive
-character-by-character substring search.
+character-by-character substring search, and the textbook per-prefix
+scan as an exact oracle for both the parse and the prefix curve.
 """
 
 from __future__ import annotations
@@ -58,6 +59,31 @@ def assert_valid_parse(word: str) -> None:
 def all_words(length: int):
     for bits in range(2**length):
         yield format(bits, f"0{length}b")
+
+
+def textbook_parse(word: str) -> tuple[str, ...]:
+    """The Kaspar-Schuster parse, searching the whole text for every candidate."""
+    parts = [word[:1]]
+    q_start, q_end = 1, 2
+    while q_end <= len(word):
+        if word[q_start:q_end] in word[: q_end - 1]:
+            q_end += 1
+        else:
+            parts.append(word[q_start:q_end])
+            q_start, q_end = q_end, q_end + 1
+    if q_start < len(word):
+        parts.append(word[q_start:])
+    return tuple(parts)
+
+
+def textbook_curve(word: str) -> list[int]:
+    """Complexity of every prefix, each parsed from scratch."""
+    return [len(textbook_parse(word[:n])) for n in range(1, len(word) + 1)]
+
+
+def protocol_word(protocol: Protocol, seed_symbol: int, length: int) -> str:
+    rng_seed = 12345 if protocol is Protocol.RANDOM else None
+    return generate(protocol, seed_symbol, length - 1, rng_seed=rng_seed).word()
 
 
 class TestComplexityWorkedExamples:
@@ -149,6 +175,54 @@ class TestComplexityCurve:
             lzc_curve("1010", 5)
         with pytest.raises(ValueError, match="stride"):
             lzc_curve("1010", 0)
+
+
+class TestComplexityAgainstTheTextbookScan:
+    def test_every_short_word_matches_prefix_by_prefix(self):
+        for length in range(1, 13):
+            for word in all_words(length):
+                np.testing.assert_array_equal(
+                    lzc_curve(word, 1).column("lzc"), textbook_curve(word)
+                )
+                assert lzc(word).partitions == textbook_parse(word)
+
+    @pytest.mark.parametrize("seed_symbol", [0, 1])
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_protocol_words_match_prefix_by_prefix(self, protocol, seed_symbol):
+        word = protocol_word(protocol, seed_symbol, 500)
+        np.testing.assert_array_equal(
+            lzc_curve(word, 1).column("lzc"), textbook_curve(word)
+        )
+        assert lzc(word).partitions == textbook_parse(word)
+
+    def test_curve_of_a_long_random_word_at_stride_one(self):
+        # Parsing each of the 3 * 10^4 prefixes from scratch would take
+        # tens of minutes; one scan takes well under a second.
+        word = protocol_word(Protocol.RANDOM, 0, 30_000)
+        values = lzc_curve(word, 1).column("lzc")
+        assert len(values) == 30_000
+        assert np.all(np.diff(values) >= 0)
+        assert values[-1] == lzc(word).complexity
+        for n in (1_777, 5_000):
+            assert values[n - 1] == len(textbook_parse(word[:n]))
+
+
+class TestComplexityInputs:
+    @pytest.mark.parametrize("symbols", [[0.5, 1.0], [-0.7], [2]])
+    def test_non_binary_numbers_are_refused(self, symbols):
+        with pytest.raises(ValueError, match="over \\{0, 1\\}"):
+            lzc(symbols)
+        with pytest.raises(ValueError, match="over \\{0, 1\\}"):
+            lzc_curve(symbols, 1)
+
+    def test_ints_bytes_and_sequences_read_as_their_word(self):
+        seq = generate(Protocol.FIBONACCI, 0, 99)
+        expected = lzc(seq.word())
+        curve = lzc_curve(seq.word(), 10).column("lzc")
+        assert seq.symbols.dtype == np.uint8
+        for form in (seq, seq.symbols, [int(s) for s in seq.symbols]):
+            assert lzc(form) == expected
+            np.testing.assert_array_equal(lzc_curve(form, 10).column("lzc"), curve)
 
 
 class TestAutocorrelation:
