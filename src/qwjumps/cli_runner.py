@@ -331,21 +331,28 @@ def _cmd_carpet(cfg: dict) -> None:
 # -------------------------------------------------------------- sweep
 
 
-def _sweep_cell(run: RunConfig) -> tuple[str | None, float, float]:
-    """Fit alpha for one sweep cell, returning (error, alpha_qw, alpha_cw).
+def _sweep_cell(run: RunConfig) -> tuple[float, float]:
+    """Fit alpha for one sweep cell, returning (alpha_qw, alpha_cw).
 
     The classical walker under the cell's jumps J_s has m2(t) exactly
     sum_{s<t} J_s^2, so it is fitted at the quantum walk's sample times
     without evolving a profile.
+
+    Raises:
+        QwjumpsError: Naming the cell, if its evolution or a fit fails.
     """
     try:
         result = evolve(run)
         times = result.series.times
         m2_cw = np.cumsum(np.concatenate(([0], result.jumps**2)))[times]
         alpha_qw = observables.fit_alpha(times, result.series.column("m2")).alpha
-        return None, alpha_qw, observables.fit_alpha(times, m2_cw).alpha
-    except Exception as exc:  # surfaced with the cell identity by the caller
-        return str(exc), math.nan, math.nan
+        return alpha_qw, observables.fit_alpha(times, m2_cw).alpha
+    except Exception as exc:
+        raise QwjumpsError(
+            f"sweep cell failed (coin={run.coin.family.value} "
+            f"theta={run.coin.theta!r} protocol={run.protocol.value} "
+            f"seed_symbol={run.seed_symbol}): {exc}"
+        ) from exc
 
 
 def _map_cells(worker, cells: list, jobs: int) -> list:
@@ -389,17 +396,10 @@ def _cmd_sweep(cfg: dict) -> None:
         for seed in seeds
     ]
     results = _map_cells(_sweep_cell, cells, cfg["jobs"])
-    for run, (error, _, _) in zip(cells, results):
-        if error is not None:
-            raise QwjumpsError(
-                f"sweep cell failed (coin={run.coin.family.value} "
-                f"theta={run.coin.theta!r} protocol={run.protocol.value} "
-                f"seed_symbol={run.seed_symbol}): {error}"
-            )
 
     # alphas[family, theta, protocol, seed] holds (alpha_qw, alpha_cw).
     shape = (len(families), len(grid), len(protocols), len(seeds), 2)
-    alphas = np.array([result[1:] for result in results]).reshape(shape)
+    alphas = np.array(results).reshape(shape)
     header = ["theta", "protocol", "alpha", "stderr"]
     for f, family in enumerate(families):
         for w, walker in enumerate(("qw", "cw")):

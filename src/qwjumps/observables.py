@@ -80,10 +80,10 @@ def moment(mass: np.ndarray, positions: np.ndarray, n: int) -> float:
     integer powers.  x^n is built from exact squares, so x^4 is rounded
     once, where float pow misses some |x| > 9700 by an ulp.
     """
-    if n < 1:
+    if not n >= 1 or n % 1:
         raise ValueError("moment order must be a positive integer")
     x = np.asarray(positions, dtype=float)
-    return float(np.sum(_power(x, n) * np.asarray(mass, dtype=float)))
+    return float(np.sum(_power(x, int(n)) * np.asarray(mass, dtype=float)))
 
 
 def fit_alpha(times, m2, window: tuple[float, float] | None = None) -> FitResult:

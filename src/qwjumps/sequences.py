@@ -28,19 +28,17 @@ class Protocol(str, Enum):
     RANDOM = "random"
 
 
-# Two-letter substitution rules, applied symbol-wise once per round.
-_BINARY_RULES = {
-    Protocol.FIBONACCI: ((0, 1), (0,)),     # 0 -> 01, 1 -> 0
-    Protocol.THUE_MORSE: ((0, 1), (1, 0)),  # 0 -> 01, 1 -> 10
+# Substitution rules, applied letter-wise once per round: protocol ->
+# (rule, projection of the letters onto {0, 1}, start letter per seed symbol).
+_SUBSTITUTIONS = {
+    Protocol.FIBONACCI: (((0, 1), (0,)), (0, 1), (0, 1)),     # 0 -> 01, 1 -> 0
+    Protocol.THUE_MORSE: (((0, 1), (1, 0)), (0, 1), (0, 1)),  # 0 -> 01, 1 -> 10
+    # Rudin-Shapiro substitutes on the four-letter alphabet A,B,C,D (coded
+    # 0..3): A -> AB, B -> AC, C -> DB, D -> DC, then projects A,B -> 0 and
+    # C,D -> 1.  Seed symbol 0 starts from A, seed symbol 1 from D (the
+    # letters that project onto the requested first symbol).
+    Protocol.RUDIN_SHAPIRO: (((0, 1), (0, 2), (3, 1), (3, 2)), (0, 0, 1, 1), (0, 3)),
 }
-
-# Rudin-Shapiro substitutes on the four-letter alphabet A,B,C,D (coded
-# 0..3): A -> AB, B -> AC, C -> DB, D -> DC, then projects A,B -> 0 and
-# C,D -> 1.  Seed symbol 0 starts from A, seed symbol 1 from D (the
-# letters that project onto the requested first symbol).
-_RS_RULE = ((0, 1), (0, 2), (3, 1), (3, 2))
-_RS_PROJECTION = (0, 0, 1, 1)
-_RS_START = (0, 3)
 
 
 @dataclass(frozen=True)
@@ -154,12 +152,10 @@ def generate(
         symbols = np.zeros(length, dtype=np.uint8)
     elif protocol is Protocol.PERIODIC:
         symbols = _alternating(seed_symbol, length)
-    elif protocol in _BINARY_RULES:
-        word = _iterate_substitution(_BINARY_RULES[protocol], seed_symbol, length)
-        symbols = np.array(word, dtype=np.uint8)
-    elif protocol is Protocol.RUDIN_SHAPIRO:
-        letters = _iterate_substitution(_RS_RULE, _RS_START[seed_symbol], length)
-        symbols = np.array([_RS_PROJECTION[s] for s in letters], dtype=np.uint8)
+    elif protocol in _SUBSTITUTIONS:
+        rule, projection, start = _SUBSTITUTIONS[protocol]
+        letters = _iterate_substitution(rule, start[seed_symbol], length)
+        symbols = np.array(projection, dtype=np.uint8)[letters]
     else:
         rng = np.random.default_rng(rng_seed)
         symbols = rng.permutation(_alternating(seed_symbol, length))

@@ -9,11 +9,11 @@ evolves a probability profile under the matching symmetric jump map.
 Public states live on the lattice x in [-2 t_max, 2 t_max], which no
 walk started at the origin can leave because the largest jump is 2 per
 step; step() and classical_step() are the dense one-step references on
-it.  evolve() and classical_evolve() run both walkers on one packed
-kernel that keeps only sites of the current parity, inside a live window
-trimmed of edge values below FLUSH_THRESHOLD, and build the dense state
-once, at the end.  Evolution never renormalizes: norm drift stays
-measurable as a correctness signal.
+it.  evolve() and classical_evolve() run both walkers through one
+recording loop on one packed kernel that keeps only sites of the current
+parity, inside a live window trimmed of edge values below
+FLUSH_THRESHOLD, and build the dense state once, at the end.  Evolution
+never renormalizes: norm drift stays measurable as a correctness signal.
 """
 
 from __future__ import annotations
@@ -402,7 +402,34 @@ def _sample(fields, mass, pos, cw_mass=None, down=None, up=None) -> list[float]:
     return [compute[f]() for f in fields]
 
 
-def _series(times: list[int], rows: list[list[float]], fields) -> ObservableSeries:
+def _record(
+    config, jumps, walker, fields, comparator=None, carpet=None
+) -> ObservableSeries:
+    """Step the walker through jumps and sample fields at the record times.
+
+    A comparator steps after the walker and is sampled over the union of
+    both windows as the JSD reference; a carpet gets a row every step.
+    """
+    record_at = set(config.record_times())
+    times, rows = [], []
+    for t, jump in enumerate([0, *jumps.tolist()]):
+        if t:
+            walker.step(jump)
+            if comparator is not None:
+                comparator.step(jump)
+        if carpet is not None:
+            u, d = walker.window(walker.lo, walker.hi)
+            raw = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
+            # Cells outside the window are 0: the window's peak is the row's.
+            walker.place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
+        if t in record_at:
+            lo, hi, cw_mass = walker.lo, walker.hi, None
+            if comparator is not None:
+                lo, hi = min(lo, comparator.lo), max(hi, comparator.hi)
+                cw_mass = comparator.profile(lo, hi)[0]
+            u, d = walker.window(lo, hi)
+            times.append(t)
+            rows.append(_sample(fields, *walker.profile(lo, hi), cw_mass, d, u))
     columns = np.array(rows, dtype=float).T
     return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
@@ -426,44 +453,18 @@ def evolve(config: RunConfig) -> EvolutionResult:
     qw = _PackedWalk(config.coin.matrix(), state0.up[1], state0.down[1], s_max)
     need_jsd = "JSD" in config.record_fields
     cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, s_max) if need_jsd else None
-    shape = (config.t_max + 1, config.extent)
-    carpet_rows = np.zeros(shape) if config.carpet else None
-    record_at = set(config.record_times())
-    times, rows = [], []
-
-    def observe(t: int) -> None:
-        if carpet_rows is not None:
-            u, d = qw.window(qw.lo, qw.hi)
-            raw = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
-            # Cells outside the window are 0: the window's peak is the row's.
-            qw.place(observables.asymmetry_carpet(raw[None])[0], carpet_rows[t])
-        if t in record_at:
-            lo, hi = qw.lo, qw.hi
-            if need_jsd:
-                lo, hi = min(lo, cw.lo), max(hi, cw.hi)
-            cw_mass = cw.profile(lo, hi)[0] if need_jsd else None
-            u, d = qw.window(lo, hi)
-            times.append(t)
-            rows.append(
-                _sample(config.record_fields, *qw.profile(lo, hi), cw_mass, d, u)
-            )
-
-    observe(0)
-    for t, jump in enumerate(jumps.tolist(), 1):
-        qw.step(jump)
-        if need_jsd:
-            cw.step(jump)
-        observe(t)
+    carpet = np.zeros((config.t_max + 1, config.extent)) if config.carpet else None
+    series = _record(config, jumps, qw, config.record_fields, cw, carpet)
 
     up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
     u, d = qw.window(qw.lo, qw.hi)
     final_state = SpinorField(qw.place(d, down), qw.place(u, up), config.extent // 2)
     return EvolutionResult(
-        series=_series(times, rows, config.record_fields),
+        series=series,
         final_state=final_state,
         final_norm=final_state.norm(),
         jumps=jumps,
-        carpet=carpet_rows,
+        carpet=carpet,
     )
 
 
@@ -480,18 +481,11 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
         raise ValueError("no classical record fields requested")
     jumps = config.jump_schedule()
     cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, int(jumps.sum()))
-    record_at = set(config.record_times())
-    times, rows = [], []
-    for t, jump in enumerate([0, *jumps.tolist()]):
-        if t > 0:
-            cw.step(jump)
-        if t in record_at:
-            times.append(t)
-            rows.append(_sample(fields, *cw.profile(cw.lo, cw.hi)))
+    series = _record(config, jumps, cw, fields)
 
     mass = cw.place(cw.profile(cw.lo, cw.hi)[0], np.zeros(config.extent))
     return ClassicalResult(
-        series=_series(times, rows, fields),
+        series=series,
         final_profile=ClassicalProfile(mass=mass, origin=config.extent // 2),
         final_mass=float(np.sum(mass)),
         jumps=jumps,

@@ -565,7 +565,9 @@ class TestSweepCommand:
             assert abs(float(alpha) - expected) <= 1e-9
             assert float(stderr) == 0.0
 
-    def test_degenerate_cell_aborts_with_its_identity(self, tmp_path, capsys):
+    # Both seed symbols make two cells, so --jobs 2 fails inside the pool.
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+    def test_degenerate_cell_aborts_with_its_identity(self, tmp_path, capsys, jobs):
         # tmax=10 collapses the default fit window to a single time, so
         # every cell raises and the sweep must name the first one.
         code = main(
@@ -581,6 +583,7 @@ class TestSweepCommand:
                 "10",
                 "--out",
                 str(tmp_path),
+                *jobs,
             ]
         )
         assert code == 2

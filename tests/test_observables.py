@@ -79,6 +79,18 @@ class TestMoments:
         with pytest.raises(ValueError, match="order"):
             moment(DELTA, FIVE_SITES, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 1.5, 0.5, math.nan, math.inf])
+    def test_moment_order_must_be_a_whole_number(self, n):
+        # 2.5 once returned the third moment; 1.5 recursed without end.
+        mass, positions = np.array([0.25, 0.5, 0.25]), np.array([-2, 1, 3])
+        with pytest.raises(ValueError, match="positive integer"):
+            moment(mass, positions, n)
+
+    def test_whole_float_order_is_the_integer_order(self):
+        assert moment(QUARTER_TRIPLE, FIVE_SITES, 4.0) == moment(
+            QUARTER_TRIPLE, FIVE_SITES, 4
+        )
+
 
 class TestKurtosis:
     def test_symmetric_pair(self):

@@ -365,6 +365,21 @@ class TestRecording:
         assert not result.carpet[0].any()
         assert np.abs(result.carpet).max() <= 1.0
 
+    @pytest.mark.parametrize("coin", [H4, K4], ids=["H", "K"])
+    @pytest.mark.parametrize("protocol", [Protocol.FIBONACCI, Protocol.RUDIN_SHAPIRO])
+    def test_recording_a_carpet_leaves_the_run_bit_identical(self, coin, protocol):
+        config = RunConfig(coin=coin, protocol=protocol, t_max=200)
+        carpeted, plain = evolve(replace(config, carpet=True)), evolve(config)
+        assert plain.carpet is None and carpeted.carpet.shape == (201, 801)
+        np.testing.assert_array_equal(carpeted.series.times, plain.series.times)
+        for field in QUANTUM_FIELDS:
+            np.testing.assert_array_equal(
+                carpeted.series.column(field), plain.series.column(field)
+            )
+        np.testing.assert_array_equal(carpeted.final_state.up, plain.final_state.up)
+        np.testing.assert_array_equal(carpeted.final_state.down, plain.final_state.down)
+        assert carpeted.final_norm == plain.final_norm
+
     def test_carpet_above_two_gib_is_refused_on_construction(self):
         # (t_max + 1) (4 t_max + 1) float64 cells pass 2 GiB at t_max = 8192.
         RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=8191, carpet=True)
