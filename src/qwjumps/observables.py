@@ -91,7 +91,7 @@ def fit_alpha(times, m2, window: tuple[float, float] | None = None) -> FitResult
 
     Args:
         times: Sample times, one per m2 value.
-        m2: Second-moment samples; must be positive inside the window.
+        m2: Second-moment samples; must be positive and finite in the window.
         window: Inclusive (t_lo, t_hi) bounds.  Defaults to
             [max(10, t_hi / 10), t_hi] with t_hi the last sample time,
             which discards the short-time transient.
@@ -101,7 +101,7 @@ def fit_alpha(times, m2, window: tuple[float, float] | None = None) -> FitResult
 
     Raises:
         DegenerateFitError: If fewer than two distinct times fall in
-            the window or any windowed m2 is not positive.
+            the window or any windowed m2 is not positive and finite.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(m2, dtype=float)
@@ -119,6 +119,10 @@ def fit_alpha(times, m2, window: tuple[float, float] | None = None) -> FitResult
     if np.any(y[mask] <= 0.0):
         raise DegenerateFitError(
             f"fit window [{t_lo}, {t_hi}] holds non-positive m2 samples"
+        )
+    if not np.all(np.isfinite(y[mask])):
+        raise DegenerateFitError(
+            f"fit window [{t_lo}, {t_hi}] holds non-finite m2 samples"
         )
     log_t = np.log(t[mask])
     log_y = np.log(y[mask])

@@ -10,7 +10,8 @@ Public states live on the lattice x in [-2 t_max, 2 t_max], which no
 walk started at the origin can leave because the largest jump is 2 per
 step; step() and classical_step() are the dense one-step references on
 it.  evolve() and classical_evolve() run both walkers through one
-recording loop on one packed kernel that keeps only sites of the current
+recording loop on one packed kernel that keeps only the up component, of
+which down is the phased mirror image, and only sites of the current
 parity, inside a live window trimmed of edge values below
 FLUSH_THRESHOLD, and build the dense state once, at the end.  Evolution
 never renormalizes: norm drift stays measurable as a correctness signal.
@@ -256,6 +257,8 @@ def initial_state(coin: CoinSpec, extent: int) -> SpinorField:
 
     The phase phi is pi/2 for the H family and 0 for the K family,
     which makes the evolved occupation profile reflection-symmetric.
+    Exactly: after t steps of step(), down(x) = phase_t * up(-x) bit for
+    bit, with phase_t = 1 for K and (-1)^(t+1) i for H.
 
     Args:
         coin: Coin whose family selects the phase.
@@ -325,34 +328,43 @@ class _PackedWalk:
     """Two-component walk on its parity lattice, in a trimmed live window.
 
     After steps of summed length S, occupied sites have x = 2k - S with k
-    in [0, S].  A jump J keeps down[k] at k and moves up[k] to k + J, so
-    storing up[k] at buffer index k - S + s_max makes both shifts free and
-    the coin acts in place on the live window [lo, hi), in the operation
-    order of step().  The buffers are zero outside the window.  A complex
-    coin moves amplitudes (mass |up|^2 + |down|^2); _CLASSICAL_COIN moves
-    right- and left-moving classical mass (mass up + down).
+    in [0, S].  Only up is stored, up[k] at buffer index k + off with
+    off = s_max - S, so a jump is free.  A symmetric coin, m11 = phase^2
+    m00, and a start down = phase up with phase^4 = 1 keep down[k] = phase
+    up[S - k], with phase conjugated every step.  The window [lo, hi) stays
+    symmetric, lo + hi - 1 = S; the buffer is zero outside it.  A complex
+    coin moves amplitudes, _CLASSICAL_COIN right- and left-moving mass.
     """
 
     def __init__(self, coin: np.ndarray, up0, down0, s_max: int):
-        (self.m00, self.m01), (self.m10, self.m11) = coin
-        dtype = np.result_type(coin, up0, down0)
-        self.up, self.dn = np.zeros((2, s_max + 1), dtype)
-        self.tmp = np.empty((2, s_max + 1), dtype)
-        self.up[s_max], self.dn[0] = up0, down0
-        self.s_max, self.s, self.t = s_max, 0, 0
+        (self.m00, self.m01), (m10, m11) = coin
+        self.phase = next((p for p in (1, -1, 1j, -1j) if down0 == p * up0), 0)
+        if not self.phase or m10 != self.m01 or m11 != self.phase**2 * self.m00:
+            raise ValueError("coin and start must keep down the phased mirror of up")
+        self.up = np.zeros(s_max + 1, np.result_type(coin, up0, down0))
+        self.tmp = np.empty((2, s_max + 1), self.up.dtype)
+        self.up[s_max] = up0
+        self.off, self.s, self.t = s_max, 0, 0
         self.lo, self.hi = 0, 1
 
     def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the up and down components over packed sites [lo, hi)."""
-        off = self.s_max - self.s
-        return self.up[lo + off : hi + off], self.dn[lo:hi]
+        """Up and down over a symmetric range [lo, hi) of packed sites."""
+        u = self.up[lo + self.off : hi + self.off]
+        return u, u[::-1] if self.phase == 1 else self.phase * u[::-1]
+
+    def squares(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|up|^2, down.real^2 and down.imag^2 over a symmetric [lo, hi)."""
+        u = self.up[lo + self.off : hi + self.off]
+        ur2, ui2 = u.real**2, u.imag**2
+        # A phase of +-i swaps the real and imaginary parts of the mirror.
+        dr2, di2 = (ui2, ur2) if self.phase.imag else (ur2, ui2)
+        return ur2 + ui2, dr2[::-1], di2[::-1]
 
     def profile(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mass and lattice positions x = 2k - S over packed sites [lo, hi)."""
-        u, d = self.window(lo, hi)
-        quantum = u.dtype.kind == "c"
-        mass = u.real**2 + u.imag**2 + d.real**2 + d.imag**2 if quantum else u + d
-        return mass, 2.0 * np.arange(lo, hi) - self.s
+        """Mass and lattice positions x = 2k - S over a symmetric [lo, hi)."""
+        quantum = self.up.dtype.kind == "c"
+        parts = self.squares(lo, hi) if quantum else self.window(lo, hi)
+        return sum(parts[1:], parts[0]), 2.0 * np.arange(lo, hi) - self.s
 
     def place(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write values over the live window onto a full lattice row."""
@@ -361,30 +373,31 @@ class _PackedWalk:
         return out
 
     def step(self, jump: int) -> None:
-        u, d = self.window(self.lo, self.hi)
-        a, b = self.tmp[:, : len(d)]
+        u = self.up[self.lo + self.off : self.hi + self.off]
+        a, b = self.tmp[:, : len(u)]
         np.multiply(self.m00, u, out=a)
-        np.multiply(self.m10, u, out=b)
-        np.multiply(self.m01, d, out=u)
-        np.add(a, u, out=u)
-        np.multiply(self.m11, d, out=d)
-        np.add(b, d, out=d)
-        self.s, self.hi, self.t = self.s + jump, self.hi + jump, self.t + 1
+        # Exact: phase is +-1 or +-i, and m01 is real or imaginary.
+        np.multiply(self.m01 * self.phase, u[::-1], out=b)
+        np.add(a, b, out=u)
+        self.phase = self.phase.conjugate()
+        self.s, self.off, self.hi = self.s + jump, self.off - jump, self.hi + jump
+        self.t += 1
         if self.t % TRIM_INTERVAL:
             return
-        # Drop the edge sites whose stored reals all lie below the threshold.
-        u, d = self.window(self.lo, self.hi)
-        big = [np.abs(c.view(np.float64)) >= FLUSH_THRESHOLD for c in (u, d)]
-        live = np.flatnonzero(big[0] | big[1]) // (u.itemsize // 8)
-        first, last = live[0], live[-1] + 1
-        u[:first] = d[:first] = u[last:] = d[last:] = 0.0
-        self.lo, self.hi = self.lo + first, self.lo + last
+        # Drop the edge sites where up and its mirror lie below the threshold.
+        u = self.up[self.lo + self.off : self.hi + self.off]
+        big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
+        live = np.flatnonzero(big) // (u.itemsize // 8)
+        first = min(live[0], len(u) - 1 - live[-1])
+        u[:first] = u[len(u) - first :] = 0.0
+        self.lo, self.hi = self.lo + first, self.hi - first
 
 
+# Classical walkers start from (0.5, 0.5), so that down mirrors up.
 _CLASSICAL_COIN = np.full((2, 2), 0.5)
 
 
-def _sample(fields, mass, pos, cw_mass=None, down=None, up=None) -> list[float]:
+def _sample(fields, mass, pos, cw_mass=None, up=None, down=None) -> list[float]:
     """The requested observables of one sampled profile, in field order."""
     m2 = observables.moment(mass, pos, 2) if {"m2", "kappa"} & set(fields) else None
     m4 = observables.moment(mass, pos, 4) if {"m4", "kappa"} & set(fields) else None
@@ -408,7 +421,7 @@ def _record(
     """Step the walker through jumps and sample fields at the record times.
 
     A comparator steps after the walker and is sampled over the union of
-    both windows as the JSD reference; a carpet gets a row every step.
+    both (symmetric) windows as the JSD reference; a carpet gets a row every step.
     """
     record_at = set(config.record_times())
     times, rows = [], []
@@ -418,8 +431,8 @@ def _record(
             if comparator is not None:
                 comparator.step(jump)
         if carpet is not None:
-            u, d = walker.window(walker.lo, walker.hi)
-            raw = u.real**2 + u.imag**2 - d.real**2 - d.imag**2
+            up2, dr2, di2 = walker.squares(walker.lo, walker.hi)
+            raw = up2 - dr2 - di2
             # Cells outside the window are 0: the window's peak is the row's.
             walker.place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
         if t in record_at:
@@ -427,9 +440,9 @@ def _record(
             if comparator is not None:
                 lo, hi = min(lo, comparator.lo), max(hi, comparator.hi)
                 cw_mass = comparator.profile(lo, hi)[0]
-            u, d = walker.window(lo, hi)
+            spinor = walker.window(lo, hi) if "S_e" in fields else ()
             times.append(t)
-            rows.append(_sample(fields, *walker.profile(lo, hi), cw_mass, d, u))
+            rows.append(_sample(fields, *walker.profile(lo, hi), cw_mass, *spinor))
     columns = np.array(rows, dtype=float).T
     return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
@@ -452,7 +465,7 @@ def evolve(config: RunConfig) -> EvolutionResult:
     state0 = initial_state(config.coin, 3)
     qw = _PackedWalk(config.coin.matrix(), state0.up[1], state0.down[1], s_max)
     need_jsd = "JSD" in config.record_fields
-    cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, s_max) if need_jsd else None
+    cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, s_max) if need_jsd else None
     carpet = np.zeros((config.t_max + 1, config.extent)) if config.carpet else None
     series = _record(config, jumps, qw, config.record_fields, cw, carpet)
 
@@ -480,7 +493,7 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     if not fields:
         raise ValueError("no classical record fields requested")
     jumps = config.jump_schedule()
-    cw = _PackedWalk(_CLASSICAL_COIN, 1.0, 0.0, int(jumps.sum()))
+    cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, int(jumps.sum()))
     series = _record(config, jumps, cw, fields)
 
     mass = cw.place(cw.profile(cw.lo, cw.hi)[0], np.zeros(config.extent))

@@ -323,6 +323,17 @@ class TestExponentFit:
         with pytest.raises(DegenerateFitError, match="non-positive"):
             fit_alpha(t, m2, window=(10, 100))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_variance_inside_the_window_is_degenerate(self, bad):
+        t = np.arange(1, 101, dtype=float)
+        m2 = t**2
+        m2[70] = bad
+        with pytest.raises(DegenerateFitError, match="non-finite"):
+            fit_alpha(t, m2, window=(10, 100))
+        # Outside the window the sample is never read.
+        fit = fit_alpha(t, m2, window=(80, 100))
+        assert fit.alpha == pytest.approx(2.0, abs=1e-10)
+
     def test_mismatched_shapes_are_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             fit_alpha(np.arange(5), np.arange(6))

@@ -30,7 +30,7 @@ from qwjumps import (
     to_jumps,
 )
 from qwjumps.observables import asymmetry_carpet, jsd
-from qwjumps.walk_engine import CLASSICAL_FIELDS, QUANTUM_FIELDS
+from qwjumps.walk_engine import CLASSICAL_FIELDS, QUANTUM_FIELDS, _PackedWalk
 
 H4 = CoinSpec(CoinFamily.H, math.pi / 4.0)
 K4 = CoinSpec(CoinFamily.K, math.pi / 4.0)
@@ -201,7 +201,10 @@ class TestPureTranslationLimit:
 
 
 class TestEvolveAgainstStepReference:
-    @pytest.mark.parametrize("coin", [H4, K4])
+    @pytest.mark.parametrize(
+        "coin",
+        [H4, K4, CoinSpec(CoinFamily.H, 0.0), CoinSpec(CoinFamily.K, 0.0)],
+    )
     def test_windowed_evolution_is_bitwise_identical_to_stepping(self, coin):
         config = RunConfig(
             coin=coin,
@@ -308,6 +311,45 @@ class TestReflectionSymmetry:
             np.testing.assert_allclose(
                 profile, profile[::-1], rtol=0.0, atol=1e-10
             )
+
+
+class TestMirrorImage:
+    """down(x) = phase up(-x), the premise of evolve's one-component kernel."""
+
+    @pytest.mark.parametrize("seed_symbol", [0, 1])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("family", [CoinFamily.H, CoinFamily.K])
+    def test_stepped_down_is_the_phased_mirror_of_up(
+        self, family, protocol, seed_symbol
+    ):
+        for theta in (0.0, 0.3, math.pi / 4.0, 1.3, math.pi / 2.0):
+            coin = CoinSpec(family, theta)
+            config = RunConfig(
+                coin=coin,
+                protocol=protocol,
+                t_max=300,
+                seed_symbol=seed_symbol,
+                rng_seed=77 if protocol is Protocol.RANDOM else None,
+            )
+            state = initial_state(coin, config.extent)
+            # The phase is down/up at the origin: -i for H, 1 for K.  The
+            # H coin has m11 = -m00, which flips it every step.
+            phase = -1j if family is CoinFamily.H else 1
+            np.testing.assert_array_equal(state.down, phase * state.up[::-1])
+            for jump in config.jump_schedule():
+                state = step(state, coin, int(jump))
+                phase *= -1 if family is CoinFamily.H else 1
+                np.testing.assert_array_equal(state.down, phase * state.up[::-1])
+
+    def test_a_coin_that_breaks_the_mirror_is_refused(self):
+        amp = 1.0 / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="mirror"):
+            _PackedWalk(np.diag([1.0, 1j]), amp, amp, 4)
+
+    @pytest.mark.parametrize("coin", [H4, K4])
+    def test_a_start_that_breaks_the_mirror_is_refused(self, coin):
+        with pytest.raises(ValueError, match="mirror"):
+            _PackedWalk(coin.matrix(), 1.0 + 0j, 0j, 4)
 
 
 class TestRecording:
@@ -584,8 +626,9 @@ class TestTrimmingAgainstTheDenseReferences:
             (1.3, Protocol.FIBONACCI, 600, None),
             (math.pi / 4.0, Protocol.RUDIN_SHAPIRO, 1500, None),
             (1.5, Protocol.RANDOM, 400, 77),
+            (math.pi / 2.0, Protocol.RANDOM, 100, 77),
         ],
-        ids=["fibonacci", "rudin-shapiro", "random"],
+        ids=["fibonacci", "rudin-shapiro", "random", "half-pi"],
     )
     def test_carpet_equals_the_stepped_asymmetry_bit_for_bit(
         self, family, theta, protocol, t_max, rng_seed
