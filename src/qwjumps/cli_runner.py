@@ -51,20 +51,26 @@ FULL_SCALE_T_MAX = 200_000
 _ALL_PROTOCOLS = [p.value for p in Protocol]
 
 
-def _cell(value) -> str:
-    """One deterministic CSV cell: plain ints, shortest-roundtrip floats."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then each block's rows, in order.
 
+    A block is a tuple of equal-length 1-D arrays, one per column.  A
+    cell is str of the array's .tolist() value: ints and strings as
+    they are, floats as their shortest round-trip repr.
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    Raises:
+        ValueError: If the columns of a block differ in length.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        for columns in blocks:
+            cells = [map(str, column.tolist()) for column in columns]
+            # The trailing "" ends the last row; an empty block writes "".
+            fh.write("\n".join([*map(",".join, zip(*cells, strict=True)), ""]))
+
+
+def _write_series(path: Path, series) -> None:
+    _write_csv(path, ["t", *series.columns], [(series.times, *series.columns.values())])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -196,12 +202,6 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _series_rows(series):
-    cols = list(series.columns.values())
-    for i, t in enumerate(series.times):
-        yield (int(t), *(col[i] for col in cols))
-
-
 # ---------------------------------------------------------------- seq
 
 
@@ -219,40 +219,27 @@ def _cmd_seq(cfg: dict) -> None:
     out = _out_dir(cfg)
 
     seq = generate(cfg["protocol"], cfg["seed_symbol"], t_max, rng_seed=rng_seed)
-    _write_csv(out / "sequence.csv", ["b_t"], ((int(s),) for s in seq.symbols))
+    _write_csv(out / "sequence.csv", ["b_t"], [(seq.symbols,)])
     _write_json(out / "sequence.json", seq.json_record())
 
-    curve = seqstats.lzc_curve(seq, stride)
-    _write_csv(
-        out / "lzc_curve.csv",
-        ["t", "lzc"],
-        zip(curve.times, curve.column("lzc")),
-    )
-    balance = seqstats.ones_fraction_curve(seq)
-    _write_csv(
-        out / "ones_fraction.csv",
-        ["t", "f"],
-        _series_rows(balance),
-    )
+    _write_series(out / "lzc_curve.csv", seqstats.lzc_curve(seq, stride))
+    _write_series(out / "ones_fraction.csv", seqstats.ones_fraction_curve(seq))
 
     try:
         acf = seqstats.autocorrelation(seq, tau_max)
     except DegenerateSequenceError as exc:
         _write_text(out / "acf.degenerate.txt", f"{exc}\n")
     else:
-        _write_csv(out / "acf.csv", ["tau", "R"], zip(acf.lags, acf.values))
+        _write_csv(out / "acf.csv", ["tau", "R"], [(acf.lags, acf.values)])
 
     try:
         spectrum = seqstats.psd(seq)
     except DegenerateSequenceError as exc:
         _write_text(out / "psd.degenerate.txt", f"{exc}\n")
     else:
-        omega_max = float(spectrum.frequencies[-1])
-        _write_csv(
-            out / "psd.csv",
-            ["omega_norm", "Phi"],
-            zip(spectrum.frequencies / omega_max, spectrum.power),
-        )
+        omega_norm = spectrum.frequencies / float(spectrum.frequencies[-1])
+        block = (omega_norm, spectrum.power)
+        _write_csv(out / "psd.csv", ["omega_norm", "Phi"], [block])
 
     resolved = {"rng_seed": rng_seed, "stride": stride, "tau_max": tau_max}
     _write_json(out / "config.json", {**cfg, "command": "seq", **resolved})
@@ -291,30 +278,21 @@ def _cmd_walk(cfg: dict) -> None:
     run = _run_config(cfg, record_stride=cfg["stride"], carpet=cfg["carpet"])
     out = _out_dir(cfg)
     result = classical_evolve(run) if cfg["classical"] else evolve(run)
-    series = result.series
-    _write_csv(
-        out / "observables.csv",
-        ["t", *series.columns],
-        _series_rows(series),
-    )
+    _write_series(out / "observables.csv", result.series)
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
-    _write_json(out / "fit.json", _fit_payload(series))
+    _write_json(out / "fit.json", _fit_payload(result.series))
     if run.carpet:
         _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
 
 
 def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,A_norm\n")
-        for t in range(carpet.shape[0]):
-            row = carpet[t]
-            fh.write(
-                "".join(
-                    f"{t},{int(x)},{repr(float(v))}\n"
-                    for x, v in zip(positions, row)
-                )
-            )
+    # One block per time row keeps the Python floats to one row's worth.
+    rows = (
+        (np.full_like(positions, t), positions, values)
+        for t, values in enumerate(carpet)
+    )
+    _write_csv(path, ["t", "x", "A_norm"], rows)
 
 
 def _cmd_carpet(cfg: dict) -> None:
@@ -401,14 +379,14 @@ def _cmd_sweep(cfg: dict) -> None:
     shape = (len(families), len(grid), len(protocols), len(seeds), 2)
     alphas = np.array(results).reshape(shape)
     header = ["theta", "protocol", "alpha", "stderr"]
+    # One row per (theta, protocol), theta outermost.
+    labels = (np.repeat(grid, len(protocols)), np.tile(protocols, len(grid)))
     for f, family in enumerate(families):
         for w, walker in enumerate(("qw", "cw")):
-            rows = [
-                (float(theta), protocol, *_mean_stderr(alphas[f, i, k, :, w]))
-                for i, theta in enumerate(grid)
-                for k, protocol in enumerate(protocols)
-            ]
-            _write_csv(out / f"alpha_{walker}_{family}.csv", header, rows)
+            cells = alphas[f, :, :, :, w].reshape(-1, len(seeds))
+            stats = np.array([_mean_stderr(seed_alphas) for seed_alphas in cells])
+            path = out / f"alpha_{walker}_{family}.csv"
+            _write_csv(path, header, [(*labels, *stats.T)])
 
     resolved = {"theta": grid, "tmax": t_max, "rng_seed": rng_seed}
     _write_json(out / "sweep_config.json", {**cfg, "command": "sweep", **resolved})

@@ -488,7 +488,13 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     repeated classical_step() wherever a mass of 1e-200 or more sits.
     Quantum-only record fields are ignored; at least one classical
     field (m2, m4, kappa, S, IPR) must remain requested.
+
+    Raises:
+        ValueError: If no classical field remains, or if a carpet is
+            requested: the classical walker has no spin to map.
     """
+    if config.carpet:
+        raise ValueError("carpet needs the quantum walk: classical has no spin")
     fields = tuple(f for f in config.record_fields if f in CLASSICAL_FIELDS)
     if not fields:
         raise ValueError("no classical record fields requested")

@@ -13,6 +13,7 @@ import time
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve, evolve
@@ -655,6 +656,62 @@ class TestCarpetCommand:
         assert time.perf_counter() - start < 1.0
         assert "tmax" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_the_carpet_reaches_the_writer_one_time_row_at_a_time(
+        self, tmp_path, monkeypatch
+    ):
+        sizes = []
+
+        def record(path, header, blocks):
+            sizes.extend(tuple(len(c) for c in block) for block in blocks)
+
+        monkeypatch.setattr(cli_runner, "_write_csv", record)
+        run_ok(["carpet", "--tmax", "20", "--out", str(tmp_path)])
+        assert sizes == [(81, 81, 81)] * 21
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize(
+        "column, cells",
+        [
+            (
+                np.array([-3, 0, 2**62], dtype=np.int64),
+                ["-3", "0", "4611686018427387904"],
+            ),
+            (np.array([0, 1, 255], dtype=np.uint8), ["0", "1", "255"]),
+            (np.array(["fibonacci", "H"]), ["fibonacci", "H"]),
+            (
+                np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05,
+                          0.1, 1 / 3]),
+                ["nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05", "0.1",
+                 "0.3333333333333333"],
+            ),
+        ],
+        ids=["int64", "uint8", "str", "float64"],
+    )
+    def test_cells_are_plain_ints_strings_and_shortest_roundtrip_floats(
+        self, tmp_path, column, cells
+    ):
+        path = tmp_path / "out.csv"
+        cli_runner._write_csv(path, ["v"], [(column,)])
+        assert read_rows(path) == ["v", *cells]
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli_runner._write_csv(
+                tmp_path / "out.csv", ["a", "b"], [(np.arange(3), np.arange(2))]
+            )
+
+    def test_blocks_follow_one_header_in_order(self, tmp_path):
+        path = tmp_path / "out.csv"
+        blocks = [
+            (np.array([0, 0]), np.array([0.5, -1.0])),
+            (np.array([1]), np.array([2.0])),
+            (np.array([], dtype=int), np.array([])),
+            (np.array([2]), np.array([0.25])),
+        ]
+        cli_runner._write_csv(path, ["t", "v"], blocks)
+        assert path.read_text() == "t,v\n0,0.5\n0,-1.0\n1,2.0\n2,0.25\n"
 
 
 class TestPackaging:

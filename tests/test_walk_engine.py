@@ -557,6 +557,13 @@ class TestClassicalComparator:
         with pytest.raises(ValueError, match="classical record fields"):
             classical_evolve(config)
 
+    def test_a_carpet_request_is_refused(self):
+        config = RunConfig(
+            coin=CoinSpec("H", 0.5), protocol="fibonacci", t_max=20, carpet=True
+        )
+        with pytest.raises(ValueError, match="carpet"):
+            classical_evolve(config)
+
     def test_negative_mass_is_rejected_on_construction(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ClassicalProfile(mass=np.array([0.5, -0.1, 0.6]), origin=1)
