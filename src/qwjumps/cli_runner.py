@@ -14,15 +14,17 @@ long flag names with underscores); explicit flags win on conflict.
 
 One table, _COMMANDS, declares every option of every command: its
 default, its flag, and its parser.  A parser takes (key, value) and
-returns the typed, range-checked value, or raises ValueError naming the
-key.  It runs on every value, from the defaults, the file and the
-flags alike, so handlers receive only parsed values.  Each command's
-JSON echo is its parsed options plus the values it resolved from them.
+returns the typed, range-checked value (CoinSpec checks theta's range),
+or raises ValueError naming the key.  It runs on every value, from the
+defaults, the file and the flags alike, so handlers receive only parsed
+values.  Each command's JSON echo is its parsed options plus the values
+it resolved from them.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -135,11 +137,9 @@ def _seed_symbol(key: str, value) -> int:
 
 
 def _theta(key: str, value) -> float:
-    """A coin angle in [0, pi/2] radians; integers are taken as floats."""
+    """A coin angle in radians, as a float."""
     if type(value) not in (int, float):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    if not 0.0 <= value <= math.pi / 2.0 + 1e-15:
-        raise ValueError(f"{key} must lie in [0, pi/2] radians, got {value!r}")
     return float(value)
 
 
@@ -341,13 +341,6 @@ def _map_cells(worker, cells: list, jobs: int) -> list:
         return list(pool.map(worker, cells))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if len(values) < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
 def _cmd_sweep(cfg: dict) -> None:
     protocols, families, seeds = cfg["protocol"], cfg["coin"], cfg["seed_symbol"]
     t_max = cfg["tmax"]
@@ -357,8 +350,10 @@ def _cmd_sweep(cfg: dict) -> None:
     if grid is None:
         grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_THETA_POINTS).tolist()
     rng_seed = _resolve_rng_seed(cfg, protocols)
-    out = _out_dir(cfg)
 
+    # One tuple gives both the order of the cells and the shape of their
+    # results.  CoinSpec checks each theta here, before --out exists.
+    axes = (families, grid, protocols, seeds)
     cells = [
         RunConfig(
             coin=CoinSpec(family, theta),
@@ -368,25 +363,24 @@ def _cmd_sweep(cfg: dict) -> None:
             rng_seed=rng_seed if protocol == Protocol.RANDOM.value else None,
             record_fields=("m2",),
         )
-        for family in families
-        for theta in grid
-        for protocol in protocols
-        for seed in seeds
+        for family, theta, protocol, seed in itertools.product(*axes)
     ]
+    out = _out_dir(cfg)
     results = _map_cells(_sweep_cell, cells, cfg["jobs"])
 
     # alphas[family, theta, protocol, seed] holds (alpha_qw, alpha_cw).
-    shape = (len(families), len(grid), len(protocols), len(seeds), 2)
-    alphas = np.array(results).reshape(shape)
+    alphas = np.array(results).reshape(*map(len, axes), 2)
+    # Statistics over seeds; a single seed gets ddof 0, so a stderr of 0.0.
+    mean = alphas.mean(axis=3)
+    stderr = alphas.std(axis=3, ddof=min(1, len(seeds) - 1)) / math.sqrt(len(seeds))
     header = ["theta", "protocol", "alpha", "stderr"]
     # One row per (theta, protocol), theta outermost.
     labels = (np.repeat(grid, len(protocols)), np.tile(protocols, len(grid)))
     for f, family in enumerate(families):
         for w, walker in enumerate(("qw", "cw")):
-            cells = alphas[f, :, :, :, w].reshape(-1, len(seeds))
-            stats = np.array([_mean_stderr(seed_alphas) for seed_alphas in cells])
+            stats = (mean[f, :, :, w].ravel(), stderr[f, :, :, w].ravel())
             path = out / f"alpha_{walker}_{family}.csv"
-            _write_csv(path, header, [(*labels, *stats.T)])
+            _write_csv(path, header, [(*labels, *stats)])
 
     resolved = {"theta": grid, "tmax": t_max, "rng_seed": rng_seed}
     _write_json(out / "sweep_config.json", {**cfg, "command": "sweep", **resolved})

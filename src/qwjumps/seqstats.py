@@ -178,9 +178,14 @@ def autocorrelation(word, tau_max: int) -> AcfRecord:
         raise DegenerateSequenceError(
             "autocorrelation is undefined for a constant word"
         )
+    # OpenBLAS splits a dot product of over 10 000 elements across its
+    # threads, so its sum would depend on their number.  Summing fixed
+    # blocks of 8192 keeps each on one thread; a short word is one block.
     raw = np.empty(tau_max + 1)
     for tau in range(tau_max + 1):
-        raw[tau] = z[tau:] @ z[: len(z) - tau] / (big_t - tau)
+        a, b = z[tau:], z[: len(z) - tau]
+        dot = sum(a[i : i + 8192] @ b[i : i + 8192] for i in range(0, len(a), 8192))
+        raw[tau] = dot / (big_t - tau)
     return AcfRecord(lags=np.arange(tau_max + 1), values=raw / raw[0])
 
 

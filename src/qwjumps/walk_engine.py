@@ -79,7 +79,7 @@ class CoinSpec:
         object.__setattr__(self, "family", CoinFamily(self.family))
         object.__setattr__(self, "theta", float(self.theta))
         if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-15:
-            raise ValueError("theta must lie in [0, pi/2] radians")
+            raise ValueError(f"theta must lie in [0, pi/2] radians, got {self.theta!r}")
 
     def matrix(self) -> np.ndarray:
         """The 2x2 unitary acting on (up, down) amplitude pairs.

@@ -150,6 +150,13 @@ class TestConfigResolution:
         assert main(["walk", "--theta", "2.0", "--out", str(tmp_path)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_a_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps([1]))
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rng_seed_with_a_deterministic_protocol_fails(
         self, tmp_path, capsys
     ):
@@ -233,6 +240,8 @@ class TestConfigFileTypes:
             ("sweep", {"protocol": []}, "protocol"),
             ("walk", {"coin": "both"}, "coin"),
             ("walk", {"protocol": "foo"}, "protocol"),
+            ("walk", {"tmax": "20"}, "tmax"),
+            ("sweep", {"jobs": True}, "jobs"),
         ],
     )
     def test_values_of_the_wrong_type_are_refused(
@@ -532,6 +541,70 @@ class TestSweepCommand:
             spread = abs(alphas[0] - alphas[1]) / 2.0
             assert float(alpha) == pytest.approx(sum(alphas) / 2.0, rel=1e-12)
             assert float(stderr) == pytest.approx(spread, rel=1e-12, abs=1e-15)
+
+    def test_rows_of_unequal_axes_match_their_own_cells(self, tmp_path):
+        # 2 families x 3 thetas x 2 protocols x 2 seeds: a reshape in the
+        # wrong axis order would pair rows with other cells' fits.
+        thetas, protocols = ["0.3", "0.7", "1.1"], ["fibonacci", "random"]
+        run_ok(
+            [
+                "sweep", "--coin", "both", "--theta", *thetas,
+                "--protocol", *protocols, "--seed-symbol", "both",
+                "--tmax", "60", "--out", str(tmp_path),
+            ]
+        )
+        for family in ("H", "K"):
+            fits = {}
+            for theta in thetas:
+                for protocol in protocols:
+                    alphas = []
+                    for seed_symbol in (0, 1):
+                        config = RunConfig(
+                            coin=CoinSpec(family, float(theta)),
+                            protocol=protocol,
+                            t_max=60,
+                            seed_symbol=seed_symbol,
+                            rng_seed=DEFAULT_RNG_SEED if protocol == "random" else None,
+                            record_fields=("m2",),
+                        )
+                        result = evolve(config)
+                        times = result.series.times
+                        m2_qw = result.series.column("m2")
+                        # The classical m2(t) is exactly sum_{s<t} J_s^2.
+                        m2_cw = np.cumsum(np.concatenate(([0], result.jumps**2)))
+                        alphas.append(
+                            (
+                                fit_alpha(times, m2_qw).alpha,
+                                fit_alpha(times, m2_cw[times]).alpha,
+                            )
+                        )
+                    fits[theta, protocol] = np.array(alphas)
+            for w, walker in enumerate(("qw", "cw")):
+                rows = read_rows(tmp_path / f"alpha_{walker}_{family}.csv")[1:]
+                labels = [tuple(row.split(",")[:2]) for row in rows]
+                assert labels == [(t, p) for t in thetas for p in protocols]
+                for row in rows:
+                    theta, protocol, alpha, stderr = row.split(",")
+                    seed_alphas = fits[theta, protocol][:, w]
+                    spread = abs(seed_alphas[0] - seed_alphas[1]) / 2.0
+                    assert float(alpha) == pytest.approx(seed_alphas.mean(), rel=1e-12)
+                    assert float(stderr) == pytest.approx(spread, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_out_of_range_theta_is_refused_before_any_file(
+        self, tmp_path, capsys, source
+    ):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["sweep", "--theta", "2.0"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"theta": [0.5, 2.0]}))
+            argv = ["sweep", "--config", str(cfg)]
+        assert main([*argv, "--tmax", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "theta must lie in [0, pi/2] radians, got 2.0" in err
+        assert not out.exists()
 
     def test_classical_rows_fit_the_evolved_classical_walker(self, tmp_path):
         run_ok(

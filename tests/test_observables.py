@@ -186,6 +186,10 @@ class TestDivergences:
         with pytest.raises(ValueError, match="shape"):
             kld(np.array([1.0]), np.array([0.5, 0.5]))
 
+    def test_jsd_profiles_must_share_a_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            jsd(np.array([1.0]), np.array([0.5, 0.5]))
+
 
 class TestReducedCoinMatrix:
     def test_origin_state_with_quarter_turn_phase(self):
@@ -212,6 +216,11 @@ class TestReducedCoinMatrix:
             rc = reduced_coin_matrix(down / scale, up / scale)
             assert rc.g_a + rc.g_b == pytest.approx(1.0, abs=1e-12)
             assert abs(rc.g_ab) ** 2 <= rc.g_a * rc.g_b + 1e-12
+
+
+    def test_components_must_share_a_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            reduced_coin_matrix(np.ones(3, dtype=complex), np.ones(5, dtype=complex))
 
 
 class TestEntanglementEntropy:

@@ -10,10 +10,15 @@ scan as an exact oracle for both the parse and the prefix curve.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwjumps
 from qwjumps import DegenerateSequenceError, Protocol, generate
 from qwjumps.seqstats import (
     autocorrelation,
@@ -259,6 +264,30 @@ class TestAutocorrelation:
         with pytest.raises(ValueError, match="tau_max"):
             autocorrelation("0110", 0)
 
+    # OpenBLAS splits a dot product of over 10 000 elements across its
+    # threads.  On a single-core machine both runs get one thread, and
+    # this test then passes without checking anything.
+    @pytest.mark.parametrize("symbols", [10_001, 30_000])
+    def test_values_do_not_depend_on_the_blas_thread_count(self, symbols):
+        script = (
+            "import sys; from qwjumps import generate; "
+            "from qwjumps.seqstats import autocorrelation; "
+            f"word = generate('fibonacci', 0, {symbols - 1}); "
+            "sys.stdout.write(autocorrelation(word, 200).values.tobytes().hex())"
+        )
+        src = str(Path(qwjumps.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            paths = [src, env.get("PYTHONPATH")]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestSpectrum:
     def test_powers_sum_to_one(self):
@@ -306,6 +335,10 @@ class TestSpectrum:
 
 
 class TestOnesFraction:
+    def test_empty_word_is_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ones_fraction_curve("")
+
     def test_alternating_prefix_fractions(self):
         curve = ones_fraction_curve("0101")
         np.testing.assert_array_equal(curve.times, [0, 1, 2, 3])

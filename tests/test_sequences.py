@@ -246,6 +246,13 @@ class TestRecord:
         record = generate(Protocol.PERIODIC, 0, 9).json_record()
         assert record["rng_seed"] is None
 
+    @pytest.mark.parametrize(
+        "symbols", [np.array([], dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)]
+    )
+    def test_direct_construction_rejects_empty_or_2d_symbols(self, symbols):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            BinarySequence(symbols=symbols, protocol=Protocol.PERIODIC, seed_symbol=0)
+
     def test_direct_construction_rejects_foreign_symbols(self):
         with pytest.raises(ValueError, match="0 and 1"):
             BinarySequence(

@@ -98,6 +98,21 @@ class TestInitialState:
         with pytest.raises(ValueError, match="odd"):
             initial_state(H4, 4)
 
+    @pytest.mark.parametrize(
+        "down, up, origin, match",
+        [
+            (np.zeros(5, complex), np.zeros(3, complex), 1, "equal length"),
+            (np.zeros((3, 3), complex), np.zeros((3, 3), complex), 1, "1-D"),
+            (np.zeros(4, complex), np.zeros(4, complex), 1, "odd"),
+            (np.zeros(5, complex), np.zeros(5, complex), 5, "origin"),
+        ],
+    )
+    def test_malformed_fields_are_rejected_on_construction(
+        self, down, up, origin, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            SpinorField(down=down, up=up, origin=origin)
+
 
 class TestSingleSteps:
     def test_first_step_splits_mass_evenly(self):
@@ -139,6 +154,11 @@ class TestSingleSteps:
     def test_jump_values_are_validated(self):
         with pytest.raises(ValueError, match="jump"):
             step(initial_state(H4, 5), H4, 3)
+
+    def test_classical_jump_values_are_validated(self):
+        profile = ClassicalProfile(mass=np.array([0.0, 1.0, 0.0]), origin=1)
+        with pytest.raises(ValueError, match="jump"):
+            classical_step(profile, 3)
 
     def test_norm_is_preserved_across_random_draws(self):
         rng = np.random.default_rng(2024)
@@ -394,6 +414,10 @@ class TestRecording:
         with pytest.raises(ValueError, match="t_max"):
             RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=-1)
 
+    def test_zero_record_stride_is_rejected(self):
+        with pytest.raises(ValueError, match="record_stride"):
+            RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=5, record_stride=0)
+
     def test_carpet_rows_cover_every_step(self):
         config = RunConfig(
             coin=H4,
@@ -567,6 +591,24 @@ class TestClassicalComparator:
     def test_negative_mass_is_rejected_on_construction(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ClassicalProfile(mass=np.array([0.5, -0.1, 0.6]), origin=1)
+
+    @pytest.mark.parametrize(
+        "mass, origin, match",
+        [
+            (np.zeros((3, 3)), 1, "1-D"),
+            (np.zeros(4), 1, "odd length"),
+            (np.zeros(1), 0, ">= 3"),
+            (np.zeros(5), -1, "origin"),
+        ],
+    )
+    def test_malformed_profiles_are_rejected_on_construction(self, mass, origin, match):
+        with pytest.raises(ValueError, match=match):
+            ClassicalProfile(mass=mass, origin=origin)
+
+    def test_extent_and_positions_center_the_origin(self):
+        profile = ClassicalProfile(mass=np.array([0.0, 0.0, 1.0, 0.0, 0.0]), origin=2)
+        assert profile.extent == 5
+        np.testing.assert_array_equal(profile.positions(), np.arange(-2, 3))
 
 
 def momentum_space_m2(coin: CoinSpec, jumps: np.ndarray) -> float:
