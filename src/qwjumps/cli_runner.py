@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -337,8 +337,11 @@ def _map_cells(worker, cells: list, jobs: int) -> list:
     if jobs <= 1 or len(cells) <= 1:
         return [worker(cell) for cell in cells]
     # Workers beyond one per cell would start and sit idle.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return list(pool.map(worker, cells))
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            return list(pool.map(worker, cells))
+    except BrokenProcessPool as exc:
+        raise QwjumpsError(f"a sweep worker process died: {exc}") from exc
 
 
 def _cmd_sweep(cfg: dict) -> None:
@@ -365,11 +368,22 @@ def _cmd_sweep(cfg: dict) -> None:
         )
         for family, theta, protocol, seed in itertools.product(*axes)
     ]
+    # Cells that share a coin and a jump schedule evolve once, as evolve is
+    # deterministic; standard and Fibonacci share theirs across seeds.  The
+    # first family and theta hold each (protocol, seed) pair once.
+    schedules = {
+        (run.protocol, run.seed_symbol): run.jump_schedule().tobytes()
+        for run in cells[: len(protocols) * len(seeds)]
+    }
+    keys = [(run.coin, schedules[run.protocol, run.seed_symbol]) for run in cells]
+    firsts = {}
+    for key, run in zip(keys, cells):
+        firsts.setdefault(key, run)
     out = _out_dir(cfg)
-    results = _map_cells(_sweep_cell, cells, cfg["jobs"])
+    fits = dict(zip(firsts, _map_cells(_sweep_cell, [*firsts.values()], cfg["jobs"])))
 
     # alphas[family, theta, protocol, seed] holds (alpha_qw, alpha_cw).
-    alphas = np.array(results).reshape(*map(len, axes), 2)
+    alphas = np.array([fits[key] for key in keys]).reshape(*map(len, axes), 2)
     # Statistics over seeds; a single seed gets ddof 0, so a stderr of 0.0.
     mean = alphas.mean(axis=3)
     stderr = alphas.std(axis=3, ddof=min(1, len(seeds) - 1)) / math.sqrt(len(seeds))

@@ -354,17 +354,17 @@ class _PackedWalk:
 
     def squares(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """|up|^2, down.real^2 and down.imag^2 over a symmetric [lo, hi)."""
-        u = self.up[lo + self.off : hi + self.off]
-        ur2, ui2 = u.real**2, u.imag**2
+        sq = np.square(self.up[lo + self.off : hi + self.off].view(np.float64))
+        ur2, ui2 = sq[0::2], sq[1::2]
         # A phase of +-i swaps the real and imaginary parts of the mirror.
         dr2, di2 = (ui2, ur2) if self.phase.imag else (ur2, ui2)
         return ur2 + ui2, dr2[::-1], di2[::-1]
 
     def profile(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Mass and lattice positions x = 2k - S over a symmetric [lo, hi)."""
-        quantum = self.up.dtype.kind == "c"
-        parts = self.squares(lo, hi) if quantum else self.window(lo, hi)
-        return sum(parts[1:], parts[0]), 2.0 * np.arange(lo, hi) - self.s
+        parts = (self.squares if np.iscomplexobj(self.up) else self.window)(lo, hi)
+        pos = np.arange(2 * lo - self.s, 2 * hi - self.s, 2.0)
+        return sum(parts[1:], parts[0]), pos
 
     def place(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write values over the live window onto a full lattice row."""
@@ -372,25 +372,32 @@ class _PackedWalk:
         out[start : start + 2 * len(values) : 2] = values
         return out
 
-    def step(self, jump: int) -> None:
-        u = self.up[self.lo + self.off : self.hi + self.off]
-        a, b = self.tmp[:, : len(u)]
-        np.multiply(self.m00, u, out=a)
+    def advance(self, jumps: list[int]) -> None:
+        """Step through jumps: coin on the live window, then the free shift."""
+        up, (a, b), m00 = self.up, self.tmp, self.m00
         # Exact: phase is +-1 or +-i, and m01 is real or imaginary.
-        np.multiply(self.m01 * self.phase, u[::-1], out=b)
-        np.add(a, b, out=u)
-        self.phase = self.phase.conjugate()
-        self.s, self.off, self.hi = self.s + jump, self.off - jump, self.hi + jump
-        self.t += 1
-        if self.t % TRIM_INTERVAL:
-            return
-        # Drop the edge sites where up and its mirror lie below the threshold.
-        u = self.up[self.lo + self.off : self.hi + self.off]
-        big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
-        live = np.flatnonzero(big) // (u.itemsize // 8)
-        first = min(live[0], len(u) - 1 - live[-1])
-        u[:first] = u[len(u) - first :] = 0.0
-        self.lo, self.hi = self.lo + first, self.hi - first
+        m01 = (self.m01 * self.phase, self.m01 * self.phase.conjugate())
+        lo, hi, off, t = self.lo, self.hi, self.off, self.t
+        for i, jump in enumerate(jumps):
+            u = up[lo + off : hi + off]
+            a_u, b_u = a[: hi - lo], b[: hi - lo]
+            np.multiply(m00, u, out=a_u)
+            np.multiply(m01[i & 1], u[::-1], out=b_u)
+            np.add(a_u, b_u, out=u)
+            off, hi, t = off - jump, hi + jump, t + 1
+            if t % TRIM_INTERVAL:
+                continue
+            # Drop the edge sites where up and its mirror lie below the threshold.
+            u = up[lo + off : hi + off]
+            big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
+            live = np.flatnonzero(big) // (u.itemsize // 8)
+            first = int(min(live[0], len(u) - 1 - live[-1]))
+            u[:first] = u[len(u) - first :] = 0.0
+            lo, hi = lo + first, hi - first
+        if len(jumps) % 2:
+            self.phase = self.phase.conjugate()
+        self.s += self.off - off
+        self.lo, self.hi, self.off, self.t = lo, hi, off, t
 
 
 # Classical walkers start from (0.5, 0.5), so that down mirrors up.
@@ -418,18 +425,19 @@ def _sample(fields, mass, pos, cw_mass=None, up=None, down=None) -> list[float]:
 def _record(
     config, jumps, walker, fields, comparator=None, carpet=None
 ) -> ObservableSeries:
-    """Step the walker through jumps and sample fields at the record times.
+    """Advance the walker through jumps and sample fields at the record times.
 
-    A comparator steps after the walker and is sampled over the union of
-    both (symmetric) windows as the JSD reference; a carpet gets a row every step.
+    Walkers advance from stop to stop: the record times, or every step for a
+    carpet.  A comparator advances over the same blocks and is sampled over
+    the union of both (symmetric) windows as the JSD reference.
     """
     record_at = set(config.record_times())
-    times, rows = [], []
-    for t, jump in enumerate([0, *jumps.tolist()]):
-        if t:
-            walker.step(jump)
-            if comparator is not None:
-                comparator.step(jump)
+    stops = range(config.t_max + 1) if carpet is not None else sorted(record_at)
+    jumps, times, rows = jumps.tolist(), [], []
+    for start, t in zip([0, *stops], stops):
+        walker.advance(jumps[start:t])
+        if comparator is not None:
+            comparator.advance(jumps[start:t])
         if carpet is not None:
             up2, dr2, di2 = walker.squares(walker.lo, walker.hi)
             raw = up2 - dr2 - di2

@@ -9,7 +9,9 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -30,6 +32,11 @@ def run_ok(argv: list[str]) -> None:
 
 def read_rows(path) -> list[str]:
     return path.read_text().splitlines()
+
+
+def _exit_at_once(run):
+    """A sweep worker that dies the way one killed by the system does."""
+    os._exit(1)
 
 
 class TestWalkCommand:
@@ -687,10 +694,112 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
         run_ok(self.ARGV + ["--jobs", "64", "--out", str(tmp_path)])
-        # 2 thetas x 2 protocols x 2 seed symbols, one coin family.
-        assert started == [8]
+        # 2 thetas x 2 protocols x 2 seed symbols, one coin family: 8 cells,
+        # 6 distinct, as standard gives both seed symbols one schedule.
+        assert started == [6]
         config = json.loads((tmp_path / "sweep_config.json").read_text())
         assert config["jobs"] == 64
+
+    def test_cells_sharing_a_coin_and_a_schedule_evolve_once(
+        self, tmp_path, monkeypatch
+    ):
+        evolved = []
+
+        def counting_evolve(run):
+            evolved.append(run)
+            return evolve(run)
+
+        monkeypatch.setattr(cli_runner, "evolve", counting_evolve)
+        thetas, protocols = ["0.3", "1.1"], ["standard", "fibonacci", "periodic"]
+        run_ok(
+            [
+                "sweep", "--coin", "both", "--theta", *thetas,
+                "--protocol", *protocols, "--seed-symbol", "both",
+                "--tmax", "80", "--out", str(tmp_path),
+            ]
+        )
+        # 24 cells; standard and fibonacci give both seed symbols one
+        # schedule, so 2 families x 2 thetas x 4 schedules evolve.
+        assert len(evolved) == 16
+        assert {(run.protocol.value, run.seed_symbol) for run in evolved} == {
+            ("standard", 0), ("fibonacci", 0), ("periodic", 0), ("periodic", 1)
+        }
+        for family in ("H", "K"):
+            per_cell = []
+            for theta in thetas:
+                for protocol in protocols:
+                    for seed_symbol in (0, 1):
+                        run = RunConfig(
+                            coin=CoinSpec(family, float(theta)),
+                            protocol=protocol,
+                            t_max=80,
+                            seed_symbol=seed_symbol,
+                            record_fields=("m2",),
+                        )
+                        result = evolve(run)
+                        times = result.series.times
+                        m2_cw = np.cumsum(np.concatenate(([0], result.jumps**2)))
+                        per_cell.append(
+                            (
+                                fit_alpha(times, result.series.column("m2")).alpha,
+                                fit_alpha(times, m2_cw[times]).alpha,
+                            )
+                        )
+            # fits[theta, protocol, seed, walker], as the sweep reduces them.
+            fits = np.array(per_cell).reshape(len(thetas), len(protocols), 2, 2)
+            mean = fits.mean(axis=2)
+            stderr = fits.std(axis=2, ddof=1) / math.sqrt(2)
+            for w, walker in enumerate(("qw", "cw")):
+                rows = read_rows(tmp_path / f"alpha_{walker}_{family}.csv")[1:]
+                expected = [
+                    f"{theta},{protocol},{mean[i, j, w].item()!r},"
+                    f"{stderr[i, j, w].item()!r}"
+                    for i, theta in enumerate(thetas)
+                    for j, protocol in enumerate(protocols)
+                ]
+                assert rows == expected
+
+    # periodic gives the two seed symbols two schedules, so --jobs 2 runs
+    # two distinct cells in the pool, and each of them fails there.
+    def test_a_cell_that_fails_in_the_pool_names_its_protocol(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        code = main(
+            [
+                "sweep", "--theta", "0.5", "--protocol", "periodic", "--coin", "H",
+                "--seed-symbol", "both", "--tmax", "10", "--jobs", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert started == [2]
+        err = capsys.readouterr().err
+        assert "sweep cell failed" in err
+        assert "periodic" in err
+
+    def test_a_worker_that_dies_ends_the_sweep_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_runner, "_sweep_cell", _exit_at_once)
+        code = main(
+            [
+                "sweep", "--theta", "0.5", "--protocol", "periodic", "--coin", "H",
+                "--seed-symbol", "both", "--tmax", "20", "--jobs", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: a sweep worker process died")
 
     def test_duplicate_protocols_are_rejected(self, tmp_path, capsys):
         code = main(

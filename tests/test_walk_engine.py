@@ -7,6 +7,7 @@ bitwise agreement with the one-step reference operation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -30,7 +31,12 @@ from qwjumps import (
     to_jumps,
 )
 from qwjumps.observables import asymmetry_carpet, jsd
-from qwjumps.walk_engine import CLASSICAL_FIELDS, QUANTUM_FIELDS, _PackedWalk
+from qwjumps.walk_engine import (
+    _CLASSICAL_COIN,
+    CLASSICAL_FIELDS,
+    QUANTUM_FIELDS,
+    _PackedWalk,
+)
 
 H4 = CoinSpec(CoinFamily.H, math.pi / 4.0)
 K4 = CoinSpec(CoinFamily.K, math.pi / 4.0)
@@ -726,6 +732,68 @@ class TestTrimmingAgainstTheDenseReferences:
         np.testing.assert_allclose(got[large], ref[large], rtol=1e-12, atol=0.0)
         assert np.sum(np.abs(got - ref)) < 1e-180
         assert np.any((ref > 0.0) & (got == 0.0))
+
+
+class TestAdvanceInBlocks:
+    """Advancing over any split of a schedule equals stepping one jump at a time."""
+
+    # Blocks of one, odd blocks, and blocks of 17 and 33 that straddle the
+    # trims every TRIM_INTERVAL = 16 steps.
+    SPLITS = [[1], [3], [7, 2], [17], [33, 1, 16, 5]]
+
+    @staticmethod
+    def walker(coin):
+        if coin == "classical":
+            return _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, 2000)
+        state = initial_state(coin, 3)
+        return _PackedWalk(coin.matrix(), state.up[1], state.down[1], 2000)
+
+    @staticmethod
+    def snapshot(walk):
+        state = (walk.lo, walk.hi, walk.off, walk.s, walk.t, walk.phase)
+        return walk.up.tobytes(), state
+
+    @pytest.mark.parametrize("split", SPLITS, ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize(
+        "coin",
+        [CoinSpec(CoinFamily.H, 1.3), CoinSpec(CoinFamily.K, 1.3), "classical"],
+        ids=["H", "K", "classical"],
+    )
+    def test_blocks_leave_the_state_of_single_steps(self, coin, split):
+        jumps = to_jumps(generate(Protocol.FIBONACCI, 0, 1000))[:1000].tolist()
+        single, blocked = self.walker(coin), self.walker(coin)
+        start, sizes = 0, itertools.cycle(split)
+        while start < len(jumps):
+            stop = min(start + next(sizes), len(jumps))
+            for jump in jumps[start:stop]:
+                single.advance([jump])
+            blocked.advance(jumps[start:stop])
+            assert self.snapshot(blocked) == self.snapshot(single)
+            start = stop
+        assert blocked.t == 1000
+        # Trimming fired: the window no longer starts at packed site 0.
+        assert blocked.lo > 0
+
+    @pytest.mark.parametrize("stride", [3, 7])
+    @pytest.mark.parametrize("coin", [H4, K4], ids=["H", "K"])
+    def test_odd_strides_match_the_dense_reference(self, coin, stride):
+        config = RunConfig(
+            coin=coin, protocol=Protocol.RANDOM, t_max=100, rng_seed=77,
+            record_stride=stride,
+        )
+        result = evolve(config)
+        every_step = evolve(replace(config, record_stride=1)).series
+        times = result.series.times
+        assert times.tolist() == [*range(0, 100, stride), 100]
+        for field in QUANTUM_FIELDS:
+            np.testing.assert_array_equal(
+                result.series.column(field), every_step.column(field)[times]
+            )
+        state = initial_state(coin, config.extent)
+        for jump in result.jumps:
+            state = step(state, coin, int(jump))
+        np.testing.assert_array_equal(result.final_state.down, state.down)
+        np.testing.assert_array_equal(result.final_state.up, state.up)
 
 
 class TestFieldSets:
