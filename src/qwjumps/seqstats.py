@@ -36,7 +36,7 @@ def _as_word(word) -> str:
             raise ValueError("word must contain only the symbols 0 and 1")
         return word
     if isinstance(word, BinarySequence):
-        word = word.symbols
+        return word.word()
     values = np.asarray(word, dtype=float)
     if values.ndim != 1 or not np.isin(values, (0.0, 1.0)).all():
         raise ValueError("word must be a 1-D sequence over {0, 1}")

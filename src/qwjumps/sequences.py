@@ -70,7 +70,7 @@ class BinarySequence:
 
     def word(self) -> str:
         """The symbols as a compact '0'/'1' string."""
-        return "".join("01"[s] for s in self.symbols)
+        return (self.symbols.astype(np.uint8) + ord("0")).tobytes().decode()
 
     def json_record(self) -> dict:
         """Compact JSON-serializable record of the sequence."""
@@ -159,11 +159,8 @@ def generate(
     else:
         rng = np.random.default_rng(rng_seed)
         symbols = rng.permutation(_alternating(seed_symbol, length))
-        if symbols[0] != seed_symbol:
-            target = int(np.flatnonzero(symbols == seed_symbol)[0])
-            first = symbols[0]
-            symbols[0] = symbols[target]
-            symbols[target] = first
+        target = int(np.argmax(symbols == seed_symbol))
+        symbols[[0, target]] = symbols[[target, 0]]
 
     symbols.flags.writeable = False
     return BinarySequence(

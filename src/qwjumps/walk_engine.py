@@ -327,77 +327,78 @@ def classical_step(profile: ClassicalProfile, jump: int) -> ClassicalProfile:
 class _PackedWalk:
     """Two-component walk on its parity lattice, in a trimmed live window.
 
-    After steps of summed length S, occupied sites have x = 2k - S with k
+    After t steps of summed length S, occupied sites have x = 2k - S with k
     in [0, S].  Only up is stored, up[k] at buffer index k + off with
     off = s_max - S, so a jump is free.  A symmetric coin, m11 = phase^2
-    m00, and a start down = phase up with phase^4 = 1 keep down[k] = phase
-    up[S - k], with phase conjugated every step.  The window [lo, hi) stays
-    symmetric, lo + hi - 1 = S; the buffer is zero outside it.  A complex
+    m00, and a start down = phase up with phase^4 = 1 keep down[k] =
+    phases[t & 1] up[S - k]: the start phase, conjugated every step.  The
+    window [lo, S + 1 - lo) is symmetric, so in the buffer it is
+    up[lo + off : len(up) - lo]; the buffer is zero outside it.  A complex
     coin moves amplitudes, _CLASSICAL_COIN right- and left-moving mass.
     """
 
     def __init__(self, coin: np.ndarray, up0, down0, s_max: int):
-        (self.m00, self.m01), (m10, m11) = coin
-        self.phase = next((p for p in (1, -1, 1j, -1j) if down0 == p * up0), 0)
-        if not self.phase or m10 != self.m01 or m11 != self.phase**2 * self.m00:
+        (self.m00, m01), (m10, m11) = coin
+        phase = next((p for p in (1, -1, 1j, -1j) if down0 == p * up0), 0)
+        if not phase or m10 != m01 or m11 != phase**2 * self.m00:
             raise ValueError("coin and start must keep down the phased mirror of up")
+        # Exact: phase is +-1 or +-i, and m01 is real or imaginary.
+        self.phases = (phase, phase.conjugate())
+        self.m01 = tuple(m01 * p for p in self.phases)
         self.up = np.zeros(s_max + 1, np.result_type(coin, up0, down0))
-        self.tmp = np.empty((2, s_max + 1), self.up.dtype)
+        self.tmp = np.empty(s_max + 1, self.up.dtype)
         self.up[s_max] = up0
-        self.off, self.s, self.t = s_max, 0, 0
-        self.lo, self.hi = 0, 1
+        self.off, self.lo, self.t = s_max, 0, 0
 
-    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Up and down over a symmetric range [lo, hi) of packed sites."""
-        u = self.up[lo + self.off : hi + self.off]
-        return u, u[::-1] if self.phase == 1 else self.phase * u[::-1]
+    def window(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Up and down over the symmetric range [lo, S + 1 - lo) of packed sites."""
+        u = self.up[lo + self.off : len(self.up) - lo]
+        phase = self.phases[self.t & 1]
+        return u, u[::-1] if phase == 1 else phase * u[::-1]
 
-    def squares(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|up|^2, down.real^2 and down.imag^2 over a symmetric [lo, hi)."""
-        sq = np.square(self.up[lo + self.off : hi + self.off].view(np.float64))
+    def squares(self, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|up|^2, down.real^2 and down.imag^2 over [lo, S + 1 - lo)."""
+        sq = np.square(self.up[lo + self.off : len(self.up) - lo].view(np.float64))
         ur2, ui2 = sq[0::2], sq[1::2]
         # A phase of +-i swaps the real and imaginary parts of the mirror.
-        dr2, di2 = (ui2, ur2) if self.phase.imag else (ur2, ui2)
+        dr2, di2 = (ui2, ur2) if self.phases[0].imag else (ur2, ui2)
         return ur2 + ui2, dr2[::-1], di2[::-1]
 
-    def profile(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mass and lattice positions x = 2k - S over a symmetric [lo, hi)."""
-        parts = (self.squares if np.iscomplexobj(self.up) else self.window)(lo, hi)
-        pos = np.arange(2 * lo - self.s, 2 * hi - self.s, 2.0)
-        return sum(parts[1:], parts[0]), pos
-
-    def place(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write values over the live window onto a full lattice row."""
-        start = len(out) // 2 - self.s + 2 * self.lo
-        out[start : start + 2 * len(values) : 2] = values
-        return out
+    def profile(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mass and lattice positions x = 2k - S over [lo, S + 1 - lo)."""
+        parts = (self.squares if np.iscomplexobj(self.up) else self.window)(lo)
+        n = len(parts[0])
+        return sum(parts[1:], parts[0]), np.arange(1 - n, n, 2.0)
 
     def advance(self, jumps: list[int]) -> None:
         """Step through jumps: coin on the live window, then the free shift."""
-        up, (a, b), m00 = self.up, self.tmp, self.m00
-        # Exact: phase is +-1 or +-i, and m01 is real or imaginary.
-        m01 = (self.m01 * self.phase, self.m01 * self.phase.conjugate())
-        lo, hi, off, t = self.lo, self.hi, self.off, self.t
-        for i, jump in enumerate(jumps):
-            u = up[lo + off : hi + off]
-            a_u, b_u = a[: hi - lo], b[: hi - lo]
-            np.multiply(m00, u, out=a_u)
-            np.multiply(m01[i & 1], u[::-1], out=b_u)
-            np.add(a_u, b_u, out=u)
-            off, hi, t = off - jump, hi + jump, t + 1
+        up, b, m00, m01 = self.up, self.tmp, self.m00, self.m01
+        lo, off, t, n = self.lo, self.off, self.t, len(self.up)
+        for jump in jumps:
+            u = up[lo + off : n - lo]
+            b_u = b[: len(u)]
+            np.multiply(m01[t & 1], u[::-1], out=b_u)
+            np.multiply(m00, u, out=u)
+            np.add(u, b_u, out=u)
+            off, t = off - jump, t + 1
             if t % TRIM_INTERVAL:
                 continue
             # Drop the edge sites where up and its mirror lie below the threshold.
-            u = up[lo + off : hi + off]
+            u = up[lo + off : n - lo]
             big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
             live = np.flatnonzero(big) // (u.itemsize // 8)
             first = int(min(live[0], len(u) - 1 - live[-1]))
             u[:first] = u[len(u) - first :] = 0.0
-            lo, hi = lo + first, hi - first
-        if len(jumps) % 2:
-            self.phase = self.phase.conjugate()
-        self.s += self.off - off
-        self.lo, self.hi, self.off, self.t = lo, hi, off, t
+            lo += first
+        self.lo, self.off, self.t = lo, off, t
+
+
+def _place(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a walker's live-window values onto a full lattice row."""
+    # The window is centred on x = 0 and holds every other site.
+    start = len(out) // 2 + 1 - len(values)
+    out[start : start + 2 * len(values) : 2] = values
+    return out
 
 
 # Classical walkers start from (0.5, 0.5), so that down mirrors up.
@@ -439,18 +440,19 @@ def _record(
         if comparator is not None:
             comparator.advance(jumps[start:t])
         if carpet is not None:
-            up2, dr2, di2 = walker.squares(walker.lo, walker.hi)
+            up2, dr2, di2 = walker.squares(walker.lo)
             raw = up2 - dr2 - di2
             # Cells outside the window are 0: the window's peak is the row's.
-            walker.place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
+            _place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
         if t in record_at:
-            lo, hi, cw_mass = walker.lo, walker.hi, None
+            lo, cw_mass = walker.lo, None
             if comparator is not None:
-                lo, hi = min(lo, comparator.lo), max(hi, comparator.hi)
-                cw_mass = comparator.profile(lo, hi)[0]
-            spinor = walker.window(lo, hi) if "S_e" in fields else ()
+                # Both walkers share one schedule and s_max, hence one off.
+                lo = min(lo, comparator.lo)
+                cw_mass = comparator.profile(lo)[0]
+            spinor = walker.window(lo) if "S_e" in fields else ()
             times.append(t)
-            rows.append(_sample(fields, *walker.profile(lo, hi), cw_mass, *spinor))
+            rows.append(_sample(fields, *walker.profile(lo), cw_mass, *spinor))
     columns = np.array(rows, dtype=float).T
     return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
@@ -478,8 +480,8 @@ def evolve(config: RunConfig) -> EvolutionResult:
     series = _record(config, jumps, qw, config.record_fields, cw, carpet)
 
     up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
-    u, d = qw.window(qw.lo, qw.hi)
-    final_state = SpinorField(qw.place(d, down), qw.place(u, up), config.extent // 2)
+    u, d = qw.window(qw.lo)
+    final_state = SpinorField(_place(d, down), _place(u, up), config.extent // 2)
     return EvolutionResult(
         series=series,
         final_state=final_state,
@@ -510,7 +512,7 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, int(jumps.sum()))
     series = _record(config, jumps, cw, fields)
 
-    mass = cw.place(cw.profile(cw.lo, cw.hi)[0], np.zeros(config.extent))
+    mass = _place(cw.profile(cw.lo)[0], np.zeros(config.extent))
     return ClassicalResult(
         series=series,
         final_profile=ClassicalProfile(mass=mass, origin=config.extent // 2),

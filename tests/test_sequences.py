@@ -130,6 +130,13 @@ class TestWordInvariants:
                 expected = seed_symbol
             assert seq.symbols[0] == expected
 
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_word_spells_the_symbols(self, protocol):
+        rng_seed = 7 if protocol is Protocol.RANDOM else None
+        seq = generate(protocol, 1, 10**4, rng_seed=rng_seed)
+        assert len(seq) == 10**4 + 1
+        assert seq.word() == "".join(map(str, seq.symbols.tolist()))
+
     def test_standard_ignores_seed_symbol(self):
         assert generate(Protocol.STANDARD, 1, 63).word() == "0" * 64
 
@@ -252,6 +259,14 @@ class TestRecord:
     def test_direct_construction_rejects_empty_or_2d_symbols(self, symbols):
         with pytest.raises(ValueError, match="nonempty 1-D"):
             BinarySequence(symbols=symbols, protocol=Protocol.PERIODIC, seed_symbol=0)
+
+    def test_directly_built_wide_symbols_spell_their_word(self):
+        seq = BinarySequence(
+            symbols=np.array([0, 1, 1], dtype=np.int64),
+            protocol=Protocol.PERIODIC,
+            seed_symbol=0,
+        )
+        assert seq.word() == "011"
 
     def test_direct_construction_rejects_foreign_symbols(self):
         with pytest.raises(ValueError, match="0 and 1"):

@@ -246,6 +246,18 @@ class TestEvolveAgainstStepReference:
         np.testing.assert_array_equal(result.final_state.down, state.down)
         np.testing.assert_array_equal(result.final_state.up, state.up)
 
+    @pytest.mark.parametrize("t_max", [1, 101])
+    @pytest.mark.parametrize("coin", [H4, K4], ids=["H", "K"])
+    def test_odd_horizons_are_bitwise_identical_to_stepping(self, coin, t_max):
+        # After an odd step count, down mirrors up under the conjugated phase.
+        config = RunConfig(coin=coin, protocol=Protocol.FIBONACCI, t_max=t_max)
+        result = evolve(config)
+        state = initial_state(coin, config.extent)
+        for jump in result.jumps:
+            state = step(state, coin, int(jump))
+        np.testing.assert_array_equal(result.final_state.down, state.down)
+        np.testing.assert_array_equal(result.final_state.up, state.up)
+
     @pytest.mark.parametrize("coin", [H4, K4])
     def test_carpet_is_the_normalized_asymmetry_of_the_stepped_states(self, coin):
         config = RunConfig(
@@ -740,6 +752,11 @@ class TestAdvanceInBlocks:
     # Blocks of one, odd blocks, and blocks of 17 and 33 that straddle the
     # trims every TRIM_INTERVAL = 16 steps.
     SPLITS = [[1], [3], [7, 2], [17], [33, 1, 16, 5]]
+    COINS = pytest.mark.parametrize(
+        "coin",
+        [CoinSpec(CoinFamily.H, 1.3), CoinSpec(CoinFamily.K, 1.3), "classical"],
+        ids=["H", "K", "classical"],
+    )
 
     @staticmethod
     def walker(coin):
@@ -750,15 +767,11 @@ class TestAdvanceInBlocks:
 
     @staticmethod
     def snapshot(walk):
-        state = (walk.lo, walk.hi, walk.off, walk.s, walk.t, walk.phase)
-        return walk.up.tobytes(), state
+        # Every stored coordinate: the window, the shift and the step count.
+        return walk.up.tobytes(), (walk.lo, walk.off, walk.t)
 
     @pytest.mark.parametrize("split", SPLITS, ids=lambda s: "-".join(map(str, s)))
-    @pytest.mark.parametrize(
-        "coin",
-        [CoinSpec(CoinFamily.H, 1.3), CoinSpec(CoinFamily.K, 1.3), "classical"],
-        ids=["H", "K", "classical"],
-    )
+    @COINS
     def test_blocks_leave_the_state_of_single_steps(self, coin, split):
         jumps = to_jumps(generate(Protocol.FIBONACCI, 0, 1000))[:1000].tolist()
         single, blocked = self.walker(coin), self.walker(coin)
@@ -773,6 +786,15 @@ class TestAdvanceInBlocks:
         assert blocked.t == 1000
         # Trimming fired: the window no longer starts at packed site 0.
         assert blocked.lo > 0
+
+    @COINS
+    def test_buffer_is_zero_outside_the_live_window(self, coin):
+        walk = self.walker(coin)
+        walk.advance(to_jumps(generate(Protocol.FIBONACCI, 0, 1000))[:1000].tolist())
+        assert walk.lo > 0
+        # A jump grows the window into the sites left of it, so they must be 0.
+        assert not walk.up[: walk.lo + walk.off].any()
+        assert not walk.up[len(walk.up) - walk.lo :].any()
 
     @pytest.mark.parametrize("stride", [3, 7])
     @pytest.mark.parametrize("coin", [H4, K4], ids=["H", "K"])
