@@ -451,7 +451,8 @@ _COMMANDS = {
                          nargs="+", choices=_ALL_PROTOCOLS),
         "seed_symbol": _opt("both", _or_both(_seed_symbol, [0, 1]),
                             "first symbol of the jump-control word"),
-        "tmax": _opt(None, _integer(10), _TMAX, type=int),
+        # The default fit window [max(10, t/10), t] needs two sample times.
+        "tmax": _opt(None, _integer(11), _TMAX, type=int),
         "coin": _opt("both", _or_both(_pick("H", "K"), ["H", "K"]), "coin family",
                      choices=["H", "K", "both"]),
         "theta": _opt(None, _theta_grid,

@@ -364,11 +364,10 @@ class _PackedWalk:
         dr2, di2 = (ui2, ur2) if self.phases[0].imag else (ur2, ui2)
         return ur2 + ui2, dr2[::-1], di2[::-1]
 
-    def profile(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mass and lattice positions x = 2k - S over [lo, S + 1 - lo)."""
+    def profile(self, lo: int) -> np.ndarray:
+        """Mass over [lo, S + 1 - lo): n sites, x = 1 - n, 3 - n, ..., n - 1."""
         parts = (self.squares if np.iscomplexobj(self.up) else self.window)(lo)
-        n = len(parts[0])
-        return sum(parts[1:], parts[0]), np.arange(1 - n, n, 2.0)
+        return sum(parts[1:], parts[0])
 
     def advance(self, jumps: list[int]) -> None:
         """Step through jumps: coin on the live window, then the free shift."""
@@ -405,8 +404,10 @@ def _place(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 _CLASSICAL_COIN = np.full((2, 2), 0.5)
 
 
-def _sample(fields, mass, pos, cw_mass=None, up=None, down=None) -> list[float]:
-    """The requested observables of one sampled profile, in field order."""
+def _sample(fields, walker, lo, comparator=None) -> list[float]:
+    """The requested fields of walker over [lo, S + 1 - lo), in field order."""
+    mass = walker.profile(lo)
+    pos = np.arange(1 - len(mass), len(mass), 2.0)
     m2 = observables.moment(mass, pos, 2) if {"m2", "kappa"} & set(fields) else None
     m4 = observables.moment(mass, pos, 4) if {"m4", "kappa"} & set(fields) else None
     compute = {
@@ -415,9 +416,10 @@ def _sample(fields, mass, pos, cw_mass=None, up=None, down=None) -> list[float]:
         "kappa": lambda: observables.kurtosis(m2, m4) if m2 > 0.0 else math.nan,
         "S": lambda: observables.shannon_entropy(mass),
         "IPR": lambda: observables.ipr(mass),
-        "JSD": lambda: observables.jsd(mass, cw_mass),
+        "JSD": lambda: observables.jsd(mass, comparator.profile(lo)),
+        # window gives (up, down); the reduced coin matrix takes (down, up).
         "S_e": lambda: observables.entanglement_entropy(
-            observables.reduced_coin_matrix(down, up)
+            observables.reduced_coin_matrix(*walker.window(lo)[::-1])
         ),
     }
     return [compute[f]() for f in fields]
@@ -432,9 +434,10 @@ def _record(
     carpet.  A comparator advances over the same blocks and is sampled over
     the union of both (symmetric) windows as the JSD reference.
     """
-    record_at = set(config.record_times())
-    stops = range(config.t_max + 1) if carpet is not None else sorted(record_at)
-    jumps, times, rows = jumps.tolist(), [], []
+    times = config.record_times()
+    record_at = set(times)
+    stops = range(config.t_max + 1) if carpet is not None else times
+    jumps, rows = jumps.tolist(), []
     for start, t in zip([0, *stops], stops):
         walker.advance(jumps[start:t])
         if comparator is not None:
@@ -445,14 +448,9 @@ def _record(
             # Cells outside the window are 0: the window's peak is the row's.
             _place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
         if t in record_at:
-            lo, cw_mass = walker.lo, None
-            if comparator is not None:
-                # Both walkers share one schedule and s_max, hence one off.
-                lo = min(lo, comparator.lo)
-                cw_mass = comparator.profile(lo)[0]
-            spinor = walker.window(lo) if "S_e" in fields else ()
-            times.append(t)
-            rows.append(_sample(fields, *walker.profile(lo), cw_mass, *spinor))
+            # Both walkers share one schedule and s_max, hence one off.
+            lo = walker.lo if comparator is None else min(walker.lo, comparator.lo)
+            rows.append(_sample(fields, walker, lo, comparator))
     columns = np.array(rows, dtype=float).T
     return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
@@ -512,7 +510,7 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, int(jumps.sum()))
     series = _record(config, jumps, cw, fields)
 
-    mass = _place(cw.profile(cw.lo)[0], np.zeros(config.extent))
+    mass = _place(cw.profile(cw.lo), np.zeros(config.extent))
     return ClassicalResult(
         series=series,
         final_profile=ClassicalProfile(mass=mass, origin=config.extent // 2),

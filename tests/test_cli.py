@@ -39,6 +39,11 @@ def _exit_at_once(run):
     os._exit(1)
 
 
+def _fail_to_evolve(run):
+    """An evolution that raises, in the parent and in forked pool workers."""
+    raise RuntimeError("injected")
+
+
 class TestWalkCommand:
     def test_smoke_run_emits_the_expected_rows_and_columns(self, tmp_path):
         run_ok(["walk", "--tmax", "100", "--out", str(tmp_path)])
@@ -646,22 +651,25 @@ class TestSweepCommand:
             assert abs(float(alpha) - expected) <= 1e-9
             assert float(stderr) == 0.0
 
-    # Both seed symbols make two cells, so --jobs 2 fails inside the pool.
+    # Two thetas make two distinct cells, so --jobs 2 fails inside the pool.
     @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
-    def test_degenerate_cell_aborts_with_its_identity(self, tmp_path, capsys, jobs):
-        # tmax=10 collapses the default fit window to a single time, so
-        # every cell raises and the sweep must name the first one.
+    def test_degenerate_cell_aborts_with_its_identity(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        # Every cell's evolution raises, and the sweep must name the first one.
+        monkeypatch.setattr(cli_runner, "evolve", _fail_to_evolve)
         code = main(
             [
                 "sweep",
                 "--theta",
                 "0.5",
+                "1.0",
                 "--protocol",
                 "standard",
                 "--coin",
                 "H",
                 "--tmax",
-                "10",
+                "20",
                 "--out",
                 str(tmp_path),
                 *jobs,
@@ -772,10 +780,11 @@ class TestSweepCommand:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_runner, "evolve", _fail_to_evolve)
         code = main(
             [
                 "sweep", "--theta", "0.5", "--protocol", "periodic", "--coin", "H",
-                "--seed-symbol", "both", "--tmax", "10", "--jobs", "2",
+                "--seed-symbol", "both", "--tmax", "20", "--jobs", "2",
                 "--out", str(tmp_path),
             ]
         )
@@ -784,6 +793,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "sweep cell failed" in err
         assert "periodic" in err
+
+    def test_a_tmax_that_leaves_one_fit_time_is_refused_before_any_file(
+        self, tmp_path, capsys
+    ):
+        # The default fit window [max(10, t/10), t] is [10, 10] at tmax 10.
+        out = tmp_path / "out"
+        argv = [
+            "sweep", "--theta", "0.5", "--protocol", "standard", "--coin", "H",
+            "--seed-symbol", "0", "--out", str(out),
+        ]
+        assert main([*argv, "--tmax", "10"]) == 2
+        assert "tmax must be at least 11, got 10" in capsys.readouterr().err
+        assert not out.exists()
+        run_ok([*argv, "--tmax", "11"])
+        assert len(read_rows(out / "alpha_qw_H.csv")) == 2
 
     def test_a_worker_that_dies_ends_the_sweep_with_one_error_line(
         self, tmp_path, capsys, monkeypatch
