@@ -76,12 +76,7 @@ def _write_series(path: Path, series) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="")
 
 
 # ------------------------------------------------------------ parsers
@@ -228,14 +223,14 @@ def _cmd_seq(cfg: dict) -> None:
     try:
         acf = seqstats.autocorrelation(seq, tau_max)
     except DegenerateSequenceError as exc:
-        _write_text(out / "acf.degenerate.txt", f"{exc}\n")
+        (out / "acf.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
         _write_csv(out / "acf.csv", ["tau", "R"], [(acf.lags, acf.values)])
 
     try:
         spectrum = seqstats.psd(seq)
     except DegenerateSequenceError as exc:
-        _write_text(out / "psd.degenerate.txt", f"{exc}\n")
+        (out / "psd.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
         omega_norm = spectrum.frequencies / float(spectrum.frequencies[-1])
         block = (omega_norm, spectrum.power)
@@ -273,11 +268,10 @@ def _fit_payload(series) -> dict:
 
 
 def _cmd_walk(cfg: dict) -> None:
-    if cfg["classical"] and cfg["carpet"]:
-        raise ValueError("carpet needs the quantum walk: classical has no spin")
     run = _run_config(cfg, record_stride=cfg["stride"], carpet=cfg["carpet"])
-    out = _out_dir(cfg)
+    # Evolving first lets classical_evolve refuse a carpet before --out exists.
     result = classical_evolve(run) if cfg["classical"] else evolve(run)
+    out = _out_dir(cfg)
     _write_series(out / "observables.csv", result.series)
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
@@ -297,8 +291,8 @@ def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None
 
 def _cmd_carpet(cfg: dict) -> None:
     run = _run_config(cfg, record_fields=("m2",), carpet=True)
-    out = _out_dir(cfg)
     result = evolve(run)
+    out = _out_dir(cfg)
     _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
     # The echo keeps walk's keys: a carpet is a quantum walk with --carpet.
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}

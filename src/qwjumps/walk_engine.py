@@ -351,10 +351,9 @@ class _PackedWalk:
         self.off, self.lo, self.t = s_max, 0, 0
 
     def window(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Up and down over the symmetric range [lo, S + 1 - lo) of packed sites."""
+        """Down and up over the symmetric range [lo, S + 1 - lo) of packed sites."""
         u = self.up[lo + self.off : len(self.up) - lo]
-        phase = self.phases[self.t & 1]
-        return u, u[::-1] if phase == 1 else phase * u[::-1]
+        return self.phases[self.t & 1] * u[::-1], u
 
     def squares(self, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """|up|^2, down.real^2 and down.imag^2 over [lo, S + 1 - lo)."""
@@ -417,9 +416,8 @@ def _sample(fields, walker, lo, comparator=None) -> list[float]:
         "S": lambda: observables.shannon_entropy(mass),
         "IPR": lambda: observables.ipr(mass),
         "JSD": lambda: observables.jsd(mass, comparator.profile(lo)),
-        # window gives (up, down); the reduced coin matrix takes (down, up).
         "S_e": lambda: observables.entanglement_entropy(
-            observables.reduced_coin_matrix(*walker.window(lo)[::-1])
+            observables.reduced_coin_matrix(*walker.window(lo))
         ),
     }
     return [compute[f]() for f in fields]
@@ -478,7 +476,7 @@ def evolve(config: RunConfig) -> EvolutionResult:
     series = _record(config, jumps, qw, config.record_fields, cw, carpet)
 
     up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
-    u, d = qw.window(qw.lo)
+    d, u = qw.window(qw.lo)
     final_state = SpinorField(_place(d, down), _place(u, up), config.extent // 2)
     return EvolutionResult(
         series=series,

@@ -117,11 +117,23 @@ class TestWalkCommand:
         assert rows[0] == "t,m2,m4,kappa,S,IPR"
         assert len(rows) == 1 + 41
 
-    def test_classical_carpet_is_refused(self, tmp_path, capsys):
-        argv = ["walk", "--classical", "--carpet", "--tmax", "50"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "carpet" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["walk", "--classical", "--carpet"], "carpet"),
+            (["walk", "--theta", "2.0"], "theta"),
+            (["walk", "--protocol", "fibonacci", "--rng-seed", "7"], "rng_seed"),
+            (["carpet", "--theta", "2.0"], "theta"),
+            (["carpet", "--protocol", "fibonacci", "--rng-seed", "7"], "rng_seed"),
+        ],
+        ids=["walk-classical-carpet", "walk-theta", "walk-rng-seed", "carpet-theta",
+             "carpet-rng-seed"],
+    )
+    def test_a_refused_run_creates_no_out_dir(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main([*argv, "--tmax", "20", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_step_run_emits_a_degenerate_fit_marker(self, tmp_path):
         run_ok(["walk", "--tmax", "0", "--out", str(tmp_path)])

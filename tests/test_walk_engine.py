@@ -550,6 +550,43 @@ class TestClassicalComparator:
             profile = classical_step(profile, int(jump))
         np.testing.assert_array_equal(result.final_profile.mass, profile.mass)
 
+    @pytest.mark.parametrize("t_max", [1, 2, 17, 300, 2000])
+    @pytest.mark.parametrize("seed_symbol", [0, 1])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_profile_is_the_exact_binomial_convolution(
+        self, protocol, seed_symbol, t_max
+    ):
+        # n1 jumps of 1 and n2 of 2 spread Bin(n1, 1/2) over x = -n1, 2 - n1,
+        # ..., n1, convolved with Bin(n2, 1/2) over a lattice of step 4.
+        config = RunConfig(
+            coin=H4,
+            protocol=protocol,
+            t_max=t_max,
+            seed_symbol=seed_symbol,
+            rng_seed=77 if protocol is Protocol.RANDOM else None,
+            record_stride=t_max,
+            record_fields=("m2",),
+        )
+        mass = classical_evolve(config).final_profile.mass
+        jumps = config.jump_schedule()
+
+        def binomial(n: int, spacing: int) -> np.ndarray:
+            weights = np.zeros(spacing * n + 1)
+            weights[::spacing] = [math.comb(n, k) / 2**n for k in range(n + 1)]
+            return weights
+
+        # Entry m of the convolution sits at x = 2m - S, S the summed jumps.
+        spread = np.convolve(
+            binomial(int(np.sum(jumps == 1)), 1), binomial(int(np.sum(jumps == 2)), 2)
+        )
+        s, origin = int(jumps.sum()), config.extent // 2
+        exact = np.zeros(config.extent)
+        exact[origin - s : origin + s + 1 : 2] = spread
+        assert np.all(np.abs(mass - exact) <= 1e-14 * exact + 1e-190)
+        if t_max == 2000:
+            # Trimming dropped sites whose exact mass is positive.
+            assert np.any((exact > 0) & (mass == 0))
+
     def test_kurtosis_approaches_the_gaussian_value(self):
         config = RunConfig(
             coin=H4,
