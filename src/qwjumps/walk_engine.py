@@ -384,8 +384,7 @@ class _PackedWalk:
             # Drop the edge sites where up and its mirror lie below the threshold.
             u = up[lo + off : n - lo]
             big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
-            live = np.flatnonzero(big) // (u.itemsize // 8)
-            first = int(min(live[0], len(u) - 1 - live[-1]))
+            first = int(min(big.argmax(), big[::-1].argmax())) // (u.itemsize // 8)
             u[:first] = u[len(u) - first :] = 0.0
             lo += first
         self.lo, self.off, self.t = lo, off, t

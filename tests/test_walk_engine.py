@@ -7,6 +7,7 @@ bitwise agreement with the one-step reference operation.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -29,11 +30,13 @@ from qwjumps import (
     initial_state,
     step,
     to_jumps,
+    walk_engine,
 )
 from qwjumps.observables import asymmetry_carpet, jsd
 from qwjumps.walk_engine import (
     _CLASSICAL_COIN,
     CLASSICAL_FIELDS,
+    FLUSH_THRESHOLD,
     QUANTUM_FIELDS,
     _PackedWalk,
 )
@@ -796,11 +799,11 @@ class TestAdvanceInBlocks:
     )
 
     @staticmethod
-    def walker(coin):
+    def walker(coin, s_max=2000):
         if coin == "classical":
-            return _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, 2000)
+            return _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, s_max)
         state = initial_state(coin, 3)
-        return _PackedWalk(coin.matrix(), state.up[1], state.down[1], 2000)
+        return _PackedWalk(coin.matrix(), state.up[1], state.down[1], s_max)
 
     @staticmethod
     def snapshot(walk):
@@ -823,6 +826,42 @@ class TestAdvanceInBlocks:
         assert blocked.t == 1000
         # Trimming fired: the window no longer starts at packed site 0.
         assert blocked.lo > 0
+
+    @pytest.mark.parametrize(
+        "coin",
+        [
+            CoinSpec(CoinFamily.H, math.pi / 4.0),
+            CoinSpec(CoinFamily.H, 1.3),
+            CoinSpec(CoinFamily.K, 1.0),
+            CoinSpec(CoinFamily.K, 1.5),
+            "classical",
+        ],
+        ids=["H-pi/4", "H-1.3", "K-1.0", "K-1.5", "classical"],
+    )
+    def test_each_trim_drops_exactly_the_dead_edge_sites(self, coin, monkeypatch):
+        jumps = to_jumps(generate(Protocol.FIBONACCI, 0, 2000))[:2000].tolist()
+        walk, dropped = self.walker(coin, sum(jumps)), 0
+        for start in range(0, len(jumps), 16):
+            block = jumps[start : start + 16]
+            # The copy steps the same block with no trim at all.
+            untrimmed = copy.deepcopy(walk)
+            with monkeypatch.context() as patch:
+                patch.setattr(walk_engine, "TRIM_INTERVAL", len(jumps) + 1)
+                untrimmed.advance(block)
+            walk.advance(block)
+            # Edge sites of the untrimmed window with no stored real at or
+            # above the threshold, counted from the nearer end.
+            lo, n = untrimmed.lo, len(untrimmed.up)
+            u = untrimmed.up[lo + untrimmed.off : n - lo]
+            big = np.abs(u.view(np.float64)) >= FLUSH_THRESHOLD
+            live = np.flatnonzero(big) // (u.itemsize // 8)
+            first = int(min(live[0], len(u) - 1 - live[-1]))
+            assert walk.lo == lo + first
+            u[:first] = u[len(u) - first :] = 0.0
+            assert walk.up.tobytes() == untrimmed.up.tobytes()
+            dropped += first
+        assert walk.t == len(jumps)
+        assert dropped > 0
 
     @COINS
     def test_buffer_is_zero_outside_the_live_window(self, coin):
