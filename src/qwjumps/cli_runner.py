@@ -53,22 +53,33 @@ FULL_SCALE_T_MAX = 200_000
 _ALL_PROTOCOLS = [p.value for p in Protocol]
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then each block's rows, in order.
+def _open_csv(path: Path, header: list[str]):
+    """Open path for writing and write the header line."""
+    fh = open(path, "w", newline="")
+    fh.write(",".join(header) + "\n")
+    return fh
+
+
+def _write_block(fh, columns) -> None:
+    """Write one block's rows.
 
     A block is a tuple of equal-length 1-D arrays, one per column.  A
     cell is str of the array's .tolist() value: ints and strings as
     they are, floats as their shortest round-trip repr.
 
     Raises:
-        ValueError: If the columns of a block differ in length.
+        ValueError: If the columns of the block differ in length.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    cells = [map(str, column.tolist()) for column in columns]
+    # The trailing "" ends the last row; an empty block writes "".
+    fh.write("\n".join([*map(",".join, zip(*cells, strict=True)), ""]))
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then each block's rows (see _write_block), in order."""
+    with _open_csv(path, header) as fh:
         for columns in blocks:
-            cells = [map(str, column.tolist()) for column in columns]
-            # The trailing "" ends the last row; an empty block writes "".
-            fh.write("\n".join([*map(",".join, zip(*cells, strict=True)), ""]))
+            _write_block(fh, columns)
 
 
 def _write_series(path: Path, series) -> None:
@@ -267,33 +278,39 @@ def _fit_payload(series) -> dict:
     }
 
 
+def _evolve(run: RunConfig, out: Path):
+    """evolve(run), streaming its carpet, if any, to out/carpet.csv."""
+    if not run.carpet:
+        return evolve(run)
+    positions = np.arange(run.extent) - run.extent // 2
+    with _open_csv(out / "carpet.csv", ["t", "x", "A_norm"]) as fh:
+        # One block per time row, written as evolve makes it.
+        def write_row(t: int, row: np.ndarray) -> None:
+            _write_block(fh, (np.full_like(positions, t), positions, row))
+
+        return evolve(run, carpet_row=write_row)
+
+
 def _cmd_walk(cfg: dict) -> None:
+    # RunConfig refuses an oversized carpet before --out exists.
     run = _run_config(cfg, record_stride=cfg["stride"], carpet=cfg["carpet"])
-    # Evolving first lets classical_evolve refuse a carpet before --out exists.
-    result = classical_evolve(run) if cfg["classical"] else evolve(run)
-    out = _out_dir(cfg)
+    if cfg["classical"]:
+        # Evolving first lets classical_evolve refuse a carpet before --out exists.
+        result = classical_evolve(run)
+        out = _out_dir(cfg)
+    else:
+        out = _out_dir(cfg)
+        result = _evolve(run, out)
     _write_series(out / "observables.csv", result.series)
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
     _write_json(out / "fit.json", _fit_payload(result.series))
-    if run.carpet:
-        _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
-
-
-def _write_carpet(path: Path, carpet: np.ndarray, positions: np.ndarray) -> None:
-    # One block per time row keeps the Python floats to one row's worth.
-    rows = (
-        (np.full_like(positions, t), positions, values)
-        for t, values in enumerate(carpet)
-    )
-    _write_csv(path, ["t", "x", "A_norm"], rows)
 
 
 def _cmd_carpet(cfg: dict) -> None:
     run = _run_config(cfg, record_fields=("m2",), carpet=True)
-    result = evolve(run)
     out = _out_dir(cfg)
-    _write_carpet(out / "carpet.csv", result.carpet, result.final_state.positions())
+    _evolve(run, out)
     # The echo keeps walk's keys: a carpet is a quantum walk with --carpet.
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     echo = {**cfg, "command": "carpet", **resolved, "classical": False, "carpet": True}

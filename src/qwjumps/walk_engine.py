@@ -13,8 +13,11 @@ it.  evolve() and classical_evolve() run both walkers through one
 recording loop on one packed kernel that keeps only the up component, of
 which down is the phased mirror image, and only sites of the current
 parity, inside a live window trimmed of edge values below
-FLUSH_THRESHOLD, and build the dense state once, at the end.  Evolution
-never renormalizes: norm drift stays measurable as a correctness signal.
+FLUSH_THRESHOLD, and build the dense state once, at the end.  Each step
+of a carpet run makes one carpet row and hands it to one callable: the
+caller's, which may write it out at once, or one that fills the dense
+EvolutionResult.carpet.  Evolution never renormalizes: norm drift stays
+measurable as a correctness signal.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ CLASSICAL_FIELDS = ("m2", "m4", "kappa", "S", "IPR")
 # below the last bit of every sum it enters.
 FLUSH_THRESHOLD = 1e-200
 TRIM_INTERVAL = 16
-# A carpet holds (t_max + 1) x (4 t_max + 1) float64 cells; RunConfig
-# refuses one larger than this, which is every t_max above 8191.
+# A dense carpet holds (t_max + 1) x (4 t_max + 1) float64 cells; RunConfig
+# refuses one larger than this, which is every t_max above 8191, even when
+# its rows are streamed.
 CARPET_MAX_BYTES = 2**31
 
 
@@ -173,8 +177,10 @@ class RunConfig:
         record_fields: Observable columns to record, drawn from
             QUANTUM_FIELDS.  Recording JSD co-evolves the classical
             comparator under the same jump schedule.
-        carpet: Also store the row-normalized spin asymmetry |up|^2 -
-            |down|^2 per step and site, within CARPET_MAX_BYTES.
+        carpet: Also make the row-normalized spin asymmetry |up|^2 -
+            |down|^2 per step and site.  evolve() stores it as one
+            dense array unless its caller takes the rows one at a time;
+            either way the dense size must stay within CARPET_MAX_BYTES.
     """
 
     coin: CoinSpec
@@ -233,7 +239,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Outcome of a quantum evolution."""
+    """Outcome of a quantum evolution.
+
+    carpet is the dense (t_max + 1, extent) carpet when the config asked
+    for one and evolve() kept its rows; None when no carpet was asked for
+    or its rows went to a carpet_row callable.
+    """
 
     series: ObservableSeries
     final_state: SpinorField
@@ -423,27 +434,29 @@ def _sample(fields, walker, lo, comparator=None) -> list[float]:
 
 
 def _record(
-    config, jumps, walker, fields, comparator=None, carpet=None
+    config, jumps, walker, fields, comparator=None, carpet_row=None
 ) -> ObservableSeries:
     """Advance the walker through jumps and sample fields at the record times.
 
     Walkers advance from stop to stop: the record times, or every step for a
-    carpet.  A comparator advances over the same blocks and is sampled over
-    the union of both (symmetric) windows as the JSD reference.
+    carpet, whose row at each t goes to carpet_row(t, row) as it is made.  A
+    comparator advances over the same blocks and is sampled over the union
+    of both (symmetric) windows as the JSD reference.
     """
     times = config.record_times()
     record_at = set(times)
-    stops = range(config.t_max + 1) if carpet is not None else times
+    stops = range(config.t_max + 1) if carpet_row is not None else times
     jumps, rows = jumps.tolist(), []
     for start, t in zip([0, *stops], stops):
         walker.advance(jumps[start:t])
         if comparator is not None:
             comparator.advance(jumps[start:t])
-        if carpet is not None:
+        if carpet_row is not None:
             up2, dr2, di2 = walker.squares(walker.lo)
             raw = up2 - dr2 - di2
             # Cells outside the window are 0: the window's peak is the row's.
-            _place(observables.asymmetry_carpet(raw[None])[0], carpet[t])
+            row = observables.asymmetry_carpet(raw[None])[0]
+            carpet_row(t, _place(row, np.zeros(config.extent)))
         if t in record_at:
             # Both walkers share one schedule and s_max, hence one off.
             lo = walker.lo if comparator is None else min(walker.lo, comparator.lo)
@@ -452,7 +465,7 @@ def _record(
     return ObservableSeries(np.array(times, dtype=np.int64), dict(zip(fields, columns)))
 
 
-def evolve(config: RunConfig) -> EvolutionResult:
+def evolve(config: RunConfig, carpet_row=None) -> EvolutionResult:
     """Run the configured walk and sample observables along the way.
 
     Runs on the packed, trimmed window of _PackedWalk; the JSD comparator
@@ -461,18 +474,32 @@ def evolve(config: RunConfig) -> EvolutionResult:
     square to exactly 0, so every site probability and carpet cell is
     identical to repeated application of step().
 
+    Args:
+        config: The run; config.carpet asks for the carpet.
+        carpet_row: Takes the carpet instead of result.carpet: called as
+            carpet_row(t, row) for t = 0 .. t_max in order, with row a
+            fresh float64 array over the lattice that the callee may keep.
+
     Returns:
         EvolutionResult; final_norm carries the uncorrected total
         occupation after the last step.
+
+    Raises:
+        ValueError: If carpet_row is given but config.carpet is not set.
     """
+    if carpet_row is not None and not config.carpet:
+        raise ValueError("carpet_row needs a config with carpet=True")
     jumps = config.jump_schedule()
     s_max = int(jumps.sum())
     state0 = initial_state(config.coin, 3)
     qw = _PackedWalk(config.coin.matrix(), state0.up[1], state0.down[1], s_max)
     need_jsd = "JSD" in config.record_fields
     cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, s_max) if need_jsd else None
-    carpet = np.zeros((config.t_max + 1, config.extent)) if config.carpet else None
-    series = _record(config, jumps, qw, config.record_fields, cw, carpet)
+    carpet = None
+    if config.carpet and carpet_row is None:
+        carpet = np.zeros((config.t_max + 1, config.extent))
+        carpet_row = carpet.__setitem__  # carpet_row(t, row) sets carpet[t]
+    series = _record(config, jumps, qw, config.record_fields, cw, carpet_row)
 
     up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
     d, u = qw.window(qw.lo)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
@@ -855,13 +856,39 @@ class TestSweepCommand:
 
 
 class TestCarpetCommand:
-    def test_row_count_covers_every_step_and_site(self, tmp_path):
-        run_ok(["carpet", "--tmax", "20", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("t_max, sites", [(20, 81), (0, 5)])
+    def test_row_count_covers_every_step_and_site(self, tmp_path, t_max, sites):
+        run_ok(["carpet", "--tmax", str(t_max), "--out", str(tmp_path)])
         rows = read_rows(tmp_path / "carpet.csv")
         assert rows[0] == "t,x,A_norm"
-        assert len(rows) == 1 + 21 * 81
+        assert len(rows) == 1 + (t_max + 1) * sites
         values = [float(r.split(",")[2]) for r in rows[1:]]
         assert max(abs(v) for v in values) <= 1.0
+
+    def test_walk_and_carpet_write_the_same_carpet(self, tmp_path):
+        run = ["--protocol", "fibonacci", "--coin", "K", "--theta", "0.7", "--tmax", "60"]
+        run_ok(["walk", "--carpet", *run, "--out", str(tmp_path / "walk")])
+        run_ok(["carpet", *run, "--out", str(tmp_path / "carpet")])
+        walked = (tmp_path / "walk" / "carpet.csv").read_bytes()
+        assert walked == (tmp_path / "carpet" / "carpet.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["carpet"], ["walk", "--carpet"]], ids=["carpet", "walk"]
+    )
+    def test_carpet_memory_stays_below_a_quarter_of_the_dense_carpet(
+        self, tmp_path, argv
+    ):
+        # tracemalloc also counts numpy's buffers; the dense carpet of tmax
+        # 400 holds 401 x 1601 float64 cells.
+        bound = 401 * 1601 * 8 / 4
+        run_ok([*argv, "--tmax", "2", "--out", str(tmp_path)])  # first-call costs
+        tracemalloc.start()
+        try:
+            run_ok([*argv, "--tmax", "400", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
     @pytest.mark.parametrize(
@@ -880,10 +907,10 @@ class TestCarpetCommand:
     ):
         sizes = []
 
-        def record(path, header, blocks):
-            sizes.extend(tuple(len(c) for c in block) for block in blocks)
+        def record(fh, block):
+            sizes.append(tuple(len(c) for c in block))
 
-        monkeypatch.setattr(cli_runner, "_write_csv", record)
+        monkeypatch.setattr(cli_runner, "_write_block", record)
         run_ok(["carpet", "--tmax", "20", "--out", str(tmp_path)])
         assert sizes == [(81, 81, 81)] * 21
 

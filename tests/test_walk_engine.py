@@ -489,6 +489,24 @@ class TestRecording:
             assert row[origin - t] == pytest.approx(-1.0, abs=1e-12)
             assert np.count_nonzero(np.abs(row) > 1e-12) == 2
 
+    def test_a_carpet_row_callable_gets_the_dense_rows_in_order(self):
+        config = RunConfig(coin=K4, protocol=Protocol.RUDIN_SHAPIRO, t_max=80, carpet=True)
+        rows = []
+        streamed = evolve(config, carpet_row=lambda t, row: rows.append((t, row)))
+        dense = evolve(config)
+        assert streamed.carpet is None
+        assert [t for t, _ in rows] == list(range(81))
+        np.testing.assert_array_equal(np.array([row for _, row in rows]), dense.carpet)
+        for field in QUANTUM_FIELDS:
+            np.testing.assert_array_equal(
+                streamed.series.column(field), dense.series.column(field)
+            )
+
+    def test_a_carpet_row_callable_needs_a_carpet_config(self):
+        config = RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=5)
+        with pytest.raises(ValueError, match="carpet"):
+            evolve(config, carpet_row=lambda t, row: None)
+
 
 class TestClassicalComparator:
     def test_uniform_jumps_give_the_binomial_moments(self):
