@@ -49,6 +49,10 @@ __all__ = ["main"]
 DEFAULT_RNG_SEED = 12345
 DEFAULT_THETA_POINTS = 33
 FULL_SCALE_T_MAX = 200_000
+# A carpet has (t_max + 1) x (4 t_max + 1) cells.  One whose float64 cells
+# would pass this, which is every t_max above 8191, is refused: its
+# carpet.csv would hold about 268 M rows.
+CARPET_MAX_BYTES = 2**31
 
 _ALL_PROTOCOLS = [p.value for p in Protocol]
 
@@ -75,15 +79,14 @@ def _write_block(fh, columns) -> None:
     fh.write("\n".join([*map(",".join, zip(*cells, strict=True)), ""]))
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then each block's rows (see _write_block), in order."""
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the header, then one block's rows (see _write_block)."""
     with _open_csv(path, header) as fh:
-        for columns in blocks:
-            _write_block(fh, columns)
+        _write_block(fh, columns)
 
 
 def _write_series(path: Path, series) -> None:
-    _write_csv(path, ["t", *series.columns], [(series.times, *series.columns.values())])
+    _write_csv(path, ["t", *series.columns], (series.times, *series.columns.values()))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -225,7 +228,7 @@ def _cmd_seq(cfg: dict) -> None:
     out = _out_dir(cfg)
 
     seq = generate(cfg["protocol"], cfg["seed_symbol"], t_max, rng_seed=rng_seed)
-    _write_csv(out / "sequence.csv", ["b_t"], [(seq.symbols,)])
+    _write_csv(out / "sequence.csv", ["b_t"], (seq.symbols,))
     _write_json(out / "sequence.json", seq.json_record())
 
     _write_series(out / "lzc_curve.csv", seqstats.lzc_curve(seq, stride))
@@ -236,7 +239,7 @@ def _cmd_seq(cfg: dict) -> None:
     except DegenerateSequenceError as exc:
         (out / "acf.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
-        _write_csv(out / "acf.csv", ["tau", "R"], [(acf.lags, acf.values)])
+        _write_csv(out / "acf.csv", ["tau", "R"], (acf.lags, acf.values))
 
     try:
         spectrum = seqstats.psd(seq)
@@ -244,8 +247,7 @@ def _cmd_seq(cfg: dict) -> None:
         (out / "psd.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
         omega_norm = spectrum.frequencies / float(spectrum.frequencies[-1])
-        block = (omega_norm, spectrum.power)
-        _write_csv(out / "psd.csv", ["omega_norm", "Phi"], [block])
+        _write_csv(out / "psd.csv", ["omega_norm", "Phi"], (omega_norm, spectrum.power))
 
     resolved = {"rng_seed": rng_seed, "stride": stride, "tau_max": tau_max}
     _write_json(out / "config.json", {**cfg, "command": "seq", **resolved})
@@ -278,29 +280,37 @@ def _fit_payload(series) -> dict:
     }
 
 
-def _evolve(run: RunConfig, out: Path):
-    """evolve(run), streaming its carpet, if any, to out/carpet.csv."""
-    if not run.carpet:
-        return evolve(run)
+def _evolve(cfg: dict, run: RunConfig, carpet: bool):
+    """Make --out and evolve run, streaming its carpet, if asked, to carpet.csv.
+
+    Returns (out, result).  An oversized carpet is refused before --out
+    exists.
+    """
+    if carpet and 8 * (run.t_max + 1) * run.extent > CARPET_MAX_BYTES:
+        raise ValueError(
+            f"tmax {run.t_max} is too large for a carpet: its "
+            f"{run.t_max + 1} x {run.extent} float64 cells exceed 2 GiB"
+        )
+    out = _out_dir(cfg)
+    if not carpet:
+        return out, evolve(run)
     positions = np.arange(run.extent) - run.extent // 2
     with _open_csv(out / "carpet.csv", ["t", "x", "A_norm"]) as fh:
         # One block per time row, written as evolve makes it.
         def write_row(t: int, row: np.ndarray) -> None:
             _write_block(fh, (np.full_like(positions, t), positions, row))
 
-        return evolve(run, carpet_row=write_row)
+        return out, evolve(run, carpet_row=write_row)
 
 
 def _cmd_walk(cfg: dict) -> None:
-    # RunConfig refuses an oversized carpet before --out exists.
-    run = _run_config(cfg, record_stride=cfg["stride"], carpet=cfg["carpet"])
+    run = _run_config(cfg, record_stride=cfg["stride"])
     if cfg["classical"]:
-        # Evolving first lets classical_evolve refuse a carpet before --out exists.
-        result = classical_evolve(run)
-        out = _out_dir(cfg)
+        if cfg["carpet"]:
+            raise ValueError("carpet needs the quantum walk: classical has no spin")
+        out, result = _out_dir(cfg), classical_evolve(run)
     else:
-        out = _out_dir(cfg)
-        result = _evolve(run, out)
+        out, result = _evolve(cfg, run, cfg["carpet"])
     _write_series(out / "observables.csv", result.series)
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
@@ -308,9 +318,8 @@ def _cmd_walk(cfg: dict) -> None:
 
 
 def _cmd_carpet(cfg: dict) -> None:
-    run = _run_config(cfg, record_fields=("m2",), carpet=True)
-    out = _out_dir(cfg)
-    _evolve(run, out)
+    run = _run_config(cfg, record_fields=("m2",))
+    out, _ = _evolve(cfg, run, carpet=True)
     # The echo keeps walk's keys: a carpet is a quantum walk with --carpet.
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     echo = {**cfg, "command": "carpet", **resolved, "classical": False, "carpet": True}
@@ -405,7 +414,7 @@ def _cmd_sweep(cfg: dict) -> None:
         for w, walker in enumerate(("qw", "cw")):
             stats = (mean[f, :, :, w].ravel(), stderr[f, :, :, w].ravel())
             path = out / f"alpha_{walker}_{family}.csv"
-            _write_csv(path, header, [(*labels, *stats)])
+            _write_csv(path, header, (*labels, *stats))
 
     resolved = {"theta": grid, "tmax": t_max, "rng_seed": rng_seed}
     _write_json(out / "sweep_config.json", {**cfg, "command": "sweep", **resolved})

@@ -13,11 +13,11 @@ it.  evolve() and classical_evolve() run both walkers through one
 recording loop on one packed kernel that keeps only the up component, of
 which down is the phased mirror image, and only sites of the current
 parity, inside a live window trimmed of edge values below
-FLUSH_THRESHOLD, and build the dense state once, at the end.  Each step
-of a carpet run makes one carpet row and hands it to one callable: the
-caller's, which may write it out at once, or one that fills the dense
-EvolutionResult.carpet.  Evolution never renormalizes: norm drift stays
-measurable as a correctness signal.
+FLUSH_THRESHOLD, and build the dense state once, at the end.  A caller
+asks evolve() for the spin-asymmetry carpet by passing a callable, which
+gets one carpet row per step as it is made; no dense carpet is held.
+Evolution never renormalizes: norm drift stays measurable as a
+correctness signal.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ CLASSICAL_FIELDS = ("m2", "m4", "kappa", "S", "IPR")
 # below the last bit of every sum it enters.
 FLUSH_THRESHOLD = 1e-200
 TRIM_INTERVAL = 16
-# A dense carpet holds (t_max + 1) x (4 t_max + 1) float64 cells; RunConfig
-# refuses one larger than this, which is every t_max above 8191, even when
-# its rows are streamed.
-CARPET_MAX_BYTES = 2**31
 
 
 class CoinFamily(str, Enum):
@@ -177,10 +173,6 @@ class RunConfig:
         record_fields: Observable columns to record, drawn from
             QUANTUM_FIELDS.  Recording JSD co-evolves the classical
             comparator under the same jump schedule.
-        carpet: Also make the row-normalized spin asymmetry |up|^2 -
-            |down|^2 per step and site.  evolve() stores it as one
-            dense array unless its caller takes the rows one at a time;
-            either way the dense size must stay within CARPET_MAX_BYTES.
     """
 
     coin: CoinSpec
@@ -190,7 +182,6 @@ class RunConfig:
     rng_seed: int | None = None
     record_stride: int | None = None
     record_fields: tuple[str, ...] = QUANTUM_FIELDS
-    carpet: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
@@ -202,11 +193,6 @@ class RunConfig:
         unknown = set(self.record_fields) - set(QUANTUM_FIELDS)
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
-        if self.carpet and 8 * (self.t_max + 1) * self.extent > CARPET_MAX_BYTES:
-            raise ValueError(
-                f"tmax {self.t_max} is too large for a carpet: its "
-                f"{self.t_max + 1} x {self.extent} float64 cells exceed 2 GiB"
-            )
 
     @property
     def extent(self) -> int:
@@ -239,18 +225,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Outcome of a quantum evolution.
-
-    carpet is the dense (t_max + 1, extent) carpet when the config asked
-    for one and evolve() kept its rows; None when no carpet was asked for
-    or its rows went to a carpet_row callable.
-    """
+    """Outcome of a quantum evolution."""
 
     series: ObservableSeries
     final_state: SpinorField
     final_norm: float
     jumps: np.ndarray
-    carpet: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -475,30 +455,22 @@ def evolve(config: RunConfig, carpet_row=None) -> EvolutionResult:
     identical to repeated application of step().
 
     Args:
-        config: The run; config.carpet asks for the carpet.
-        carpet_row: Takes the carpet instead of result.carpet: called as
-            carpet_row(t, row) for t = 0 .. t_max in order, with row a
-            fresh float64 array over the lattice that the callee may keep.
+        config: The run.
+        carpet_row: Asks for the spin-asymmetry carpet: called as
+            carpet_row(t, row) for t = 0 .. t_max in order, with row the
+            row-normalized |up|^2 - |down|^2 over the lattice, a fresh
+            float64 array that the callee may keep.
 
     Returns:
         EvolutionResult; final_norm carries the uncorrected total
         occupation after the last step.
-
-    Raises:
-        ValueError: If carpet_row is given but config.carpet is not set.
     """
-    if carpet_row is not None and not config.carpet:
-        raise ValueError("carpet_row needs a config with carpet=True")
     jumps = config.jump_schedule()
     s_max = int(jumps.sum())
     state0 = initial_state(config.coin, 3)
     qw = _PackedWalk(config.coin.matrix(), state0.up[1], state0.down[1], s_max)
     need_jsd = "JSD" in config.record_fields
     cw = _PackedWalk(_CLASSICAL_COIN, 0.5, 0.5, s_max) if need_jsd else None
-    carpet = None
-    if config.carpet and carpet_row is None:
-        carpet = np.zeros((config.t_max + 1, config.extent))
-        carpet_row = carpet.__setitem__  # carpet_row(t, row) sets carpet[t]
     series = _record(config, jumps, qw, config.record_fields, cw, carpet_row)
 
     up, down = (np.zeros(config.extent, dtype=complex) for _ in range(2))
@@ -509,7 +481,6 @@ def evolve(config: RunConfig, carpet_row=None) -> EvolutionResult:
         final_state=final_state,
         final_norm=final_state.norm(),
         jumps=jumps,
-        carpet=carpet,
     )
 
 
@@ -522,11 +493,8 @@ def classical_evolve(config: RunConfig) -> ClassicalResult:
     field (m2, m4, kappa, S, IPR) must remain requested.
 
     Raises:
-        ValueError: If no classical field remains, or if a carpet is
-            requested: the classical walker has no spin to map.
+        ValueError: If no classical field remains.
     """
-    if config.carpet:
-        raise ValueError("carpet needs the quantum walk: classical has no spin")
     fields = tuple(f for f in config.record_fields if f in CLASSICAL_FIELDS)
     if not fields:
         raise ValueError("no classical record fields requested")

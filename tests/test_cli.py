@@ -13,6 +13,7 @@ import os
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -902,6 +903,33 @@ class TestCarpetCommand:
         assert "tmax" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_two_gib_boundary_lies_between_tmax_8191_and_8192(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # (t_max + 1) (4 t_max + 1) float64 cells pass 2 GiB at t_max = 8192.
+        # The stub evolves nothing, so 8191 costs no steps once past the check.
+        monkeypatch.setattr(cli_runner, "evolve", lambda run, carpet_row: None)
+        assert main(["carpet", "--tmax", "8191", "--out", str(tmp_path / "ok")]) == 0
+        refused = tmp_path / "refused"
+        assert main(["carpet", "--tmax", "8192", "--out", str(refused)]) == 2
+        assert "tmax 8192" in capsys.readouterr().err
+        assert not refused.exists()
+
+    def test_the_two_gib_rule_binds_only_a_carpet(self, tmp_path, monkeypatch):
+        # A walk without --carpet holds no carpet, so tmax 8192 reaches evolve;
+        # the stub runs 4 of its steps to keep the test fast.
+        reached = []
+
+        def short_evolve(run):
+            reached.append(run.t_max)
+            return evolve(replace(run, t_max=4))
+
+        monkeypatch.setattr(cli_runner, "evolve", short_evolve)
+        run_ok(["walk", "--tmax", "8192", "--out", str(tmp_path)])
+        assert reached == [8192]
+        assert (tmp_path / "observables.csv").exists()
+        assert not (tmp_path / "carpet.csv").exists()
+
     def test_the_carpet_reaches_the_writer_one_time_row_at_a_time(
         self, tmp_path, monkeypatch
     ):
@@ -938,13 +966,13 @@ class TestCsvWriter:
         self, tmp_path, column, cells
     ):
         path = tmp_path / "out.csv"
-        cli_runner._write_csv(path, ["v"], [(column,)])
+        cli_runner._write_csv(path, ["v"], (column,))
         assert read_rows(path) == ["v", *cells]
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             cli_runner._write_csv(
-                tmp_path / "out.csv", ["a", "b"], [(np.arange(3), np.arange(2))]
+                tmp_path / "out.csv", ["a", "b"], (np.arange(3), np.arange(2))
             )
 
     def test_blocks_follow_one_header_in_order(self, tmp_path):
@@ -955,7 +983,9 @@ class TestCsvWriter:
             (np.array([], dtype=int), np.array([])),
             (np.array([2]), np.array([0.25])),
         ]
-        cli_runner._write_csv(path, ["t", "v"], blocks)
+        with cli_runner._open_csv(path, ["t", "v"]) as fh:
+            for block in blocks:
+                cli_runner._write_block(fh, block)
         assert path.read_text() == "t,v\n0,0.5\n0,-1.0\n1,2.0\n2,0.25\n"
 
 

@@ -49,6 +49,17 @@ def profile_at(state: SpinorField, x: int) -> float:
     return float(state.probability()[state.origin + x])
 
 
+def evolve_carpet(config: RunConfig):
+    """evolve(config), the t of each carpet row in call order, and the rows stacked.
+
+    The rows are stacked after evolve returns, so a row array that evolve
+    reused would show its last contents in every place it was kept.
+    """
+    calls = []
+    result = evolve(config, carpet_row=lambda t, row: calls.append((t, row)))
+    return result, [t for t, _ in calls], np.array([row for _, row in calls])
+
+
 class TestCoinMatrices:
     @pytest.mark.parametrize("family", [CoinFamily.H, CoinFamily.K])
     def test_matrix_is_unitary_across_the_angle_range(self, family):
@@ -269,9 +280,8 @@ class TestEvolveAgainstStepReference:
             t_max=60,
             rng_seed=77,
             record_fields=("m2",),
-            carpet=True,
         )
-        result = evolve(config)
+        result, _, carpet = evolve_carpet(config)
         state = initial_state(coin, config.extent)
         states = [state]
         for jump in result.jumps:
@@ -283,7 +293,7 @@ class TestEvolveAgainstStepReference:
                 for s in states
             ]
         )
-        np.testing.assert_array_equal(result.carpet, asymmetry_carpet(raw))
+        np.testing.assert_array_equal(carpet, asymmetry_carpet(raw))
 
     def test_jsd_compares_against_the_classical_comparator_profile(self):
         config = RunConfig(
@@ -445,19 +455,19 @@ class TestRecording:
             protocol=Protocol.PERIODIC,
             t_max=20,
             record_fields=("m2",),
-            carpet=True,
         )
-        result = evolve(config)
-        assert result.carpet.shape == (21, config.extent)
-        assert not result.carpet[0].any()
-        assert np.abs(result.carpet).max() <= 1.0
+        _, times, carpet = evolve_carpet(config)
+        assert times == list(range(21))
+        assert carpet.shape == (21, config.extent)
+        assert not carpet[0].any()
+        assert np.abs(carpet).max() <= 1.0
 
     @pytest.mark.parametrize("coin", [H4, K4], ids=["H", "K"])
     @pytest.mark.parametrize("protocol", [Protocol.FIBONACCI, Protocol.RUDIN_SHAPIRO])
     def test_recording_a_carpet_leaves_the_run_bit_identical(self, coin, protocol):
         config = RunConfig(coin=coin, protocol=protocol, t_max=200)
-        carpeted, plain = evolve(replace(config, carpet=True)), evolve(config)
-        assert plain.carpet is None and carpeted.carpet.shape == (201, 801)
+        (carpeted, _, carpet), plain = evolve_carpet(config), evolve(config)
+        assert carpet.shape == (201, 801)
         np.testing.assert_array_equal(carpeted.series.times, plain.series.times)
         for field in QUANTUM_FIELDS:
             np.testing.assert_array_equal(
@@ -467,11 +477,31 @@ class TestRecording:
         np.testing.assert_array_equal(carpeted.final_state.down, plain.final_state.down)
         assert carpeted.final_norm == plain.final_norm
 
-    def test_carpet_above_two_gib_is_refused_on_construction(self):
-        # (t_max + 1) (4 t_max + 1) float64 cells pass 2 GiB at t_max = 8192.
-        RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=8191, carpet=True)
-        with pytest.raises(ValueError, match="tmax 8192"):
-            RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=8192, carpet=True)
+    def test_a_strided_series_still_gets_a_carpet_row_every_step(self):
+        config = RunConfig(
+            coin=K4, protocol=Protocol.RUDIN_SHAPIRO, t_max=50, record_stride=7
+        )
+        (strided, times, carpet), plain = evolve_carpet(config), evolve(config)
+        _, _, every_step = evolve_carpet(replace(config, record_stride=1))
+        assert times == list(range(51))
+        np.testing.assert_array_equal(carpet, every_step)
+        assert strided.series.times.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        np.testing.assert_array_equal(strided.series.times, plain.series.times)
+        for field in QUANTUM_FIELDS:
+            np.testing.assert_array_equal(
+                strided.series.column(field), plain.series.column(field)
+            )
+
+    def test_each_carpet_row_is_a_fresh_array_the_callee_may_keep(self):
+        config = RunConfig(coin=H4, protocol=Protocol.FIBONACCI, t_max=30)
+        kept = []
+        evolve(config, carpet_row=lambda t, row: kept.append((row, row.copy())))
+        assert len(kept) == 31
+        for row, copy in kept:
+            assert row.dtype == np.float64 and row.shape == (config.extent,)
+            np.testing.assert_array_equal(row, copy)
+        for (a, _), (b, _) in zip(kept, kept[1:]):
+            assert not np.shares_memory(a, b)
 
     def test_translation_carpet_marks_the_two_moving_fronts(self):
         config = RunConfig(
@@ -479,33 +509,15 @@ class TestRecording:
             protocol=Protocol.STANDARD,
             t_max=10,
             record_fields=("m2",),
-            carpet=True,
         )
-        result = evolve(config)
+        result, _, carpet = evolve_carpet(config)
         origin = result.final_state.origin
         for t in range(1, 11):
-            row = result.carpet[t]
+            row = carpet[t]
             assert row[origin + t] == pytest.approx(1.0, abs=1e-12)
             assert row[origin - t] == pytest.approx(-1.0, abs=1e-12)
             assert np.count_nonzero(np.abs(row) > 1e-12) == 2
 
-    def test_a_carpet_row_callable_gets_the_dense_rows_in_order(self):
-        config = RunConfig(coin=K4, protocol=Protocol.RUDIN_SHAPIRO, t_max=80, carpet=True)
-        rows = []
-        streamed = evolve(config, carpet_row=lambda t, row: rows.append((t, row)))
-        dense = evolve(config)
-        assert streamed.carpet is None
-        assert [t for t, _ in rows] == list(range(81))
-        np.testing.assert_array_equal(np.array([row for _, row in rows]), dense.carpet)
-        for field in QUANTUM_FIELDS:
-            np.testing.assert_array_equal(
-                streamed.series.column(field), dense.series.column(field)
-            )
-
-    def test_a_carpet_row_callable_needs_a_carpet_config(self):
-        config = RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=5)
-        with pytest.raises(ValueError, match="carpet"):
-            evolve(config, carpet_row=lambda t, row: None)
 
 
 class TestClassicalComparator:
@@ -657,13 +669,6 @@ class TestClassicalComparator:
         with pytest.raises(ValueError, match="classical record fields"):
             classical_evolve(config)
 
-    def test_a_carpet_request_is_refused(self):
-        config = RunConfig(
-            coin=CoinSpec("H", 0.5), protocol="fibonacci", t_max=20, carpet=True
-        )
-        with pytest.raises(ValueError, match="carpet"):
-            classical_evolve(config)
-
     def test_negative_mass_is_rejected_on_construction(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ClassicalProfile(mass=np.array([0.5, -0.1, 0.6]), origin=1)
@@ -765,14 +770,13 @@ class TestTrimmingAgainstTheDenseReferences:
             t_max=t_max,
             rng_seed=rng_seed,
             record_fields=("m2",),
-            carpet=True,
         )
-        result = evolve(config)
+        result, _, carpet = evolve_carpet(config)
         state = initial_state(coin, config.extent)
-        np.testing.assert_array_equal(result.carpet[0], stepped_asymmetry(state))
+        np.testing.assert_array_equal(carpet[0], stepped_asymmetry(state))
         for t, jump in enumerate(result.jumps, 1):
             state = step(state, coin, int(jump))
-            np.testing.assert_array_equal(result.carpet[t], stepped_asymmetry(state))
+            np.testing.assert_array_equal(carpet[t], stepped_asymmetry(state))
         final = result.final_state
         np.testing.assert_array_equal(final.probability(), state.probability())
         # Trimming fired: the reference still holds amplitudes that the
