@@ -239,15 +239,16 @@ def _cmd_seq(cfg: dict) -> None:
     except DegenerateSequenceError as exc:
         (out / "acf.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
-        _write_csv(out / "acf.csv", ["tau", "R"], (acf.lags, acf.values))
+        _write_csv(out / "acf.csv", ["tau", "R"], (acf.times, acf.column("R")))
 
     try:
         spectrum = seqstats.psd(seq)
     except DegenerateSequenceError as exc:
         (out / "psd.degenerate.txt").write_text(f"{exc}\n", newline="")
     else:
-        omega_norm = spectrum.frequencies / float(spectrum.frequencies[-1])
-        _write_csv(out / "psd.csv", ["omega_norm", "Phi"], (omega_norm, spectrum.power))
+        omega_norm = spectrum.times / float(spectrum.times[-1])
+        columns = (omega_norm, spectrum.column("Phi"))
+        _write_csv(out / "psd.csv", ["omega_norm", "Phi"], columns)
 
     resolved = {"rng_seed": rng_seed, "stride": stride, "tau_max": tau_max}
     _write_json(out / "config.json", {**cfg, "command": "seq", **resolved})
@@ -431,8 +432,8 @@ def _opt(default, parse, help: str, **flag) -> tuple:
 _TMAX = "number of evolution steps"
 # The options of seq, walk and carpet, in flag order.
 _SINGLE_RUN = {
-    "protocol": _opt("standard", _protocol, "jump-control protocol (default: standard)",
-                     choices=_ALL_PROTOCOLS),
+    "protocol": _opt("standard", _protocol, "jump-control protocol: "
+                     f"{_either(_ALL_PROTOCOLS)} (default: standard)"),
     "seed_symbol": _opt(0, _seed_symbol, "first symbol of the jump-control word"),
     "rng_seed": _opt(None, _integer(0), "shuffle seed for the random protocol "
                      f"(default: {DEFAULT_RNG_SEED})", type=int),
@@ -440,7 +441,7 @@ _SINGLE_RUN = {
     "out": _opt(".", _path, "output directory (default: .)"),
 }
 _COIN = {
-    "coin": _opt("H", _pick("H", "K"), "coin family", choices=["H", "K"]),
+    "coin": _opt("H", _pick("H", "K"), f"coin family: {_either(['H', 'K'])}"),
     "theta": _opt(math.pi / 4.0, _theta, "coin angle in radians (default: pi/4)",
                   type=float),
 }
@@ -466,15 +467,14 @@ _COMMANDS = {
     }),
     "sweep": (_cmd_sweep, "spreading exponent over a theta grid", {
         **_SINGLE_RUN,
-        "protocol": _opt(_ALL_PROTOCOLS, _protocols,
-                         "jump-control protocols to sweep (default: all)",
-                         nargs="+", choices=_ALL_PROTOCOLS),
+        "protocol": _opt(_ALL_PROTOCOLS, _protocols, "jump-control protocols to "
+                         f"sweep: {_either(_ALL_PROTOCOLS)} (default: all)", nargs="+"),
         "seed_symbol": _opt("both", _or_both(_seed_symbol, [0, 1]),
                             "first symbol of the jump-control word"),
         # The default fit window [max(10, t/10), t] needs two sample times.
         "tmax": _opt(None, _integer(11), _TMAX, type=int),
-        "coin": _opt("both", _or_both(_pick("H", "K"), ["H", "K"]), "coin family",
-                     choices=["H", "K", "both"]),
+        "coin": _opt("both", _or_both(_pick("H", "K"), ["H", "K"]),
+                     f"coin family: {_either(['H', 'K', 'both'])}"),
         "theta": _opt(None, _theta_grid,
                       "theta grid values in radians (default: 33 even points)",
                       nargs="+", type=float),

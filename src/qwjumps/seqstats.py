@@ -9,6 +9,7 @@ one scan yields the complexity of every prefix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,6 @@ from .series import ObservableSeries
 
 __all__ = [
     "LzcTrace",
-    "AcfRecord",
-    "SpectrumRecord",
     "lzc",
     "lzc_curve",
     "autocorrelation",
@@ -57,27 +56,6 @@ class LzcTrace:
 
     complexity: int
     partitions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AcfRecord:
-    """Autocorrelation values per lag, normalized so lag 0 reads 1.
-
-    Values at positive lags may marginally exceed 1 in magnitude for
-    strongly anticorrelated finite words because each lag uses its own
-    finite-sample prefactor.
-    """
-
-    lags: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectrumRecord:
-    """Normalized power per integer frequency 1 .. T (T = word length)."""
-
-    frequencies: np.ndarray
-    power: np.ndarray
 
 
 def _scan(w: str) -> list[int]:
@@ -135,13 +113,14 @@ def lzc_curve(word, stride: int) -> ObservableSeries:
 
     Args:
         word: Nonempty word over {0, 1}.
-        stride: Positive prefix-length increment, at most the word length.
+        stride: Positive integer prefix-length increment, at most len(word).
 
     Returns:
         ObservableSeries with times holding the prefix lengths and one
         column ``lzc``; values are nondecreasing in prefix length.
     """
     w = _as_word(word)
+    stride = operator.index(stride)
     if stride < 1 or stride > len(w):
         raise ValueError("stride must be in 1 .. len(word)")
     lengths = np.arange(stride, len(w) + 1, stride)
@@ -149,12 +128,14 @@ def lzc_curve(word, stride: int) -> ObservableSeries:
     return ObservableSeries(times=lengths, columns={"lzc": values})
 
 
-def autocorrelation(word, tau_max: int) -> AcfRecord:
+def autocorrelation(word, tau_max: int) -> ObservableSeries:
     """Autocorrelation of the mean-centered word, normalized at lag 0.
 
     With z the centered word indexed 0 .. T, the raw value per lag is
     R(tau) = (1 / (T - tau)) * sum_{t = tau}^{T} z_t z_{t - tau}, and
-    the returned values are R(tau) / R(0).
+    the returned values are R(tau) / R(0).  Values at positive lags may
+    marginally exceed 1 in magnitude for strongly anticorrelated finite
+    words because each lag uses its own finite-sample prefactor.
 
     Args:
         word: Word over {0, 1} of length at least tau_max + 2.
@@ -162,7 +143,7 @@ def autocorrelation(word, tau_max: int) -> AcfRecord:
             every finite-sample prefactor stays finite.
 
     Returns:
-        AcfRecord for lags 0 .. tau_max.
+        ObservableSeries over lags 0 .. tau_max with one column ``R``.
 
     Raises:
         ValueError: On an out-of-range tau_max.
@@ -186,10 +167,10 @@ def autocorrelation(word, tau_max: int) -> AcfRecord:
         a, b = z[tau:], z[: len(z) - tau]
         dot = sum(a[i : i + 8192] @ b[i : i + 8192] for i in range(0, len(a), 8192))
         raw[tau] = dot / (big_t - tau)
-    return AcfRecord(lags=np.arange(tau_max + 1), values=raw / raw[0])
+    return ObservableSeries(times=np.arange(tau_max + 1), columns={"R": raw / raw[0]})
 
 
-def psd(word) -> SpectrumRecord:
+def psd(word) -> ObservableSeries:
     """Normalized power spectrum of the mean-centered word.
 
     Power at integer frequency w in 1 .. T is the squared modulus of
@@ -202,7 +183,7 @@ def psd(word) -> SpectrumRecord:
         word: Word over {0, 1} of length T >= 2.
 
     Returns:
-        SpectrumRecord over frequencies 1 .. T.
+        ObservableSeries over frequencies 1 .. T with one column ``Phi``.
 
     Raises:
         ValueError: If the word is shorter than 2 symbols.
@@ -217,7 +198,7 @@ def psd(word) -> SpectrumRecord:
     bins = np.abs(np.fft.fft(z)) ** 2
     power = np.concatenate([bins[1:], bins[:1]])
     power /= power.sum()
-    return SpectrumRecord(frequencies=np.arange(1, len(z) + 1), power=power)
+    return ObservableSeries(times=np.arange(1, len(z) + 1), columns={"Phi": power})
 
 
 def ones_fraction_curve(word) -> ObservableSeries:

@@ -12,8 +12,8 @@ class ObservableSeries:
     """Named measurement columns sharing a single time axis.
 
     Attributes:
-        times: 1-D integer array of sample times (or prefix lengths when
-            the series indexes word prefixes rather than steps).
+        times: 1-D integer array of sample times, word-prefix lengths,
+            autocorrelation lags or spectrum frequencies.
         columns: Mapping from column name to a 1-D array with one entry
             per sample time; insertion order fixes the emission order.
     """

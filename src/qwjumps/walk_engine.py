@@ -171,7 +171,7 @@ class RunConfig:
             while t_max <= 1000 and 10 beyond that.  The final step is
             always recorded.
         record_fields: Observable columns to record, drawn from
-            QUANTUM_FIELDS.  Recording JSD co-evolves the classical
+            QUANTUM_FIELDS without repeats.  Recording JSD co-evolves the classical
             comparator under the same jump schedule.
     """
 
@@ -193,6 +193,9 @@ class RunConfig:
         unknown = set(self.record_fields) - set(QUANTUM_FIELDS)
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
+        repeated = {f for f in self.record_fields if self.record_fields.count(f) > 1}
+        if repeated:
+            raise ValueError(f"repeated record fields: {sorted(repeated)}")
 
     @property
     def extent(self) -> int:

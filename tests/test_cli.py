@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve, evolve
-from qwjumps import cli_runner
+from qwjumps import CoinSpec, Protocol, RunConfig, classical_evolve, evolve, generate
+from qwjumps import cli_runner, seqstats
 from qwjumps.cli_runner import DEFAULT_RNG_SEED, main
 from qwjumps.observables import fit_alpha
 
@@ -127,14 +127,21 @@ class TestWalkCommand:
             (["walk", "--protocol", "fibonacci", "--rng-seed", "7"], "rng_seed"),
             (["carpet", "--theta", "2.0"], "theta"),
             (["carpet", "--protocol", "fibonacci", "--rng-seed", "7"], "rng_seed"),
+            (["walk", "--protocol", "foo"], "protocol"),
+            (["carpet", "--coin", "X"], "coin"),
+            (["sweep", "--coin", "X"], "coin"),
+            (["sweep", "--protocol", "standard", "foo"], "protocol"),
         ],
         ids=["walk-classical-carpet", "walk-theta", "walk-rng-seed", "carpet-theta",
-             "carpet-rng-seed"],
+             "carpet-rng-seed", "walk-protocol", "carpet-coin", "sweep-coin",
+             "sweep-protocol"],
     )
     def test_a_refused_run_creates_no_out_dir(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
         assert main([*argv, "--tmax", "20", "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
         assert not out.exists()
 
     def test_zero_step_run_emits_a_degenerate_fit_marker(self, tmp_path):
@@ -415,6 +422,16 @@ class TestSeqCommand:
         rows = read_rows(tmp_path / "sequence.csv")
         assert rows[0] == "b_t"
         assert len(rows) == 1 + 500
+        # Each header is the file's axis name plus its series' columns.
+        word = generate(Protocol.FIBONACCI, 0, 499)
+        for name, header, series in [
+            ("lzc_curve.csv", "t,lzc", seqstats.lzc_curve(word, 100)),
+            ("ones_fraction.csv", "t,f", seqstats.ones_fraction_curve(word)),
+            ("acf.csv", "tau,R", seqstats.autocorrelation(word, 200)),
+            ("psd.csv", "omega_norm,Phi", seqstats.psd(word)),
+        ]:
+            assert read_rows(tmp_path / name)[0] == header
+            assert header.split(",")[1:] == list(series.columns)
 
     def test_constant_word_replaces_spectra_with_degenerate_markers(
         self, tmp_path

@@ -180,6 +180,9 @@ class TestComplexityCurve:
             lzc_curve("1010", 5)
         with pytest.raises(ValueError, match="stride"):
             lzc_curve("1010", 0)
+        with pytest.raises(TypeError, match="integer"):
+            lzc_curve("0101", 2.5)
+        assert lzc_curve("0101", np.int64(2)).column("lzc").tolist() == [2, 3]
 
 
 class TestComplexityAgainstTheTextbookScan:
@@ -233,14 +236,14 @@ class TestComplexityInputs:
 class TestAutocorrelation:
     def test_lag_zero_reads_one_exactly(self):
         for word in ("0110", "0010011", generate(Protocol.FIBONACCI, 0, 99)):
-            assert autocorrelation(word, 2).values[0] == 1.0
+            assert autocorrelation(word, 2).column("R")[0] == 1.0
 
     def test_alternating_word_alternates_sign_with_near_unit_magnitude(self):
         word = generate(Protocol.PERIODIC, 0, 1000)
         record = autocorrelation(word, 10)
         big_t = len(word) - 1
         for tau in range(1, 11):
-            value = record.values[tau]
+            value = record.column("R")[tau]
             assert math.copysign(1.0, value) == (-1.0) ** tau
             assert abs(abs(value) - 1.0) < 5.0 / big_t
 
@@ -248,11 +251,11 @@ class TestAutocorrelation:
         word = generate(Protocol.RANDOM, 0, 10_000, rng_seed=12345)
         record = autocorrelation(word, 100)
         big_t = len(word) - 1
-        assert np.abs(record.values[1:]).max() < 5.0 / math.sqrt(big_t)
+        assert np.abs(record.column("R")[1:]).max() < 5.0 / math.sqrt(big_t)
 
     def test_lags_run_from_zero_to_tau_max(self):
         record = autocorrelation("01101001", 3)
-        np.testing.assert_array_equal(record.lags, [0, 1, 2, 3])
+        np.testing.assert_array_equal(record.times, [0, 1, 2, 3])
 
     def test_constant_word_is_degenerate(self):
         with pytest.raises(DegenerateSequenceError):
@@ -273,7 +276,7 @@ class TestAutocorrelation:
             "import sys; from qwjumps import generate; "
             "from qwjumps.seqstats import autocorrelation; "
             f"word = generate('fibonacci', 0, {symbols - 1}); "
-            "sys.stdout.write(autocorrelation(word, 200).values.tobytes().hex())"
+            "sys.stdout.write(autocorrelation(word, 200).column('R').tobytes().hex())"
         )
         src = str(Path(qwjumps.__file__).resolve().parent.parent)
         outputs = []
@@ -292,20 +295,20 @@ class TestAutocorrelation:
 class TestSpectrum:
     def test_powers_sum_to_one(self):
         for word in ("01", "0110100110010110", generate(Protocol.FIBONACCI, 0, 999)):
-            assert abs(psd(word).power.sum() - 1.0) < 1e-10
+            assert abs(psd(word).column("Phi").sum() - 1.0) < 1e-10
 
     def test_alternating_word_concentrates_at_the_nyquist_bin(self):
         word = generate(Protocol.PERIODIC, 0, 999)
         spectrum = psd(word)
         nyquist = len(word) // 2
-        index = np.flatnonzero(spectrum.frequencies == nyquist)[0]
-        assert spectrum.power[index] > 1.0 - 1e-12
-        rest = np.delete(spectrum.power, index)
+        index = np.flatnonzero(spectrum.times == nyquist)[0]
+        assert spectrum.column("Phi")[index] > 1.0 - 1e-12
+        rest = np.delete(spectrum.column("Phi"), index)
         assert rest.max() < 1e-12
 
     def test_frequencies_span_one_to_word_length(self):
         spectrum = psd("0110")
-        np.testing.assert_array_equal(spectrum.frequencies, [1, 2, 3, 4])
+        np.testing.assert_array_equal(spectrum.times, [1, 2, 3, 4])
 
     def test_complement_word_has_the_identical_spectrum(self):
         # Complementing flips the sign of the centered values, which the
@@ -313,16 +316,16 @@ class TestSpectrum:
         word = generate(Protocol.RUDIN_SHAPIRO, 0, 499).symbols
         a = psd(word)
         b = psd(1 - word)
-        np.testing.assert_allclose(a.power, b.power, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(a.column("Phi"), b.column("Phi"), rtol=0.0, atol=1e-15)
 
     def test_fibonacci_spectrum_is_dominated_by_narrow_peaks(self):
         spectrum = psd(generate(Protocol.FIBONACCI, 0, 9_999))
-        top = np.sort(spectrum.power)[::-1]
+        top = np.sort(spectrum.column("Phi"))[::-1]
         assert top[0] > 0.1
         assert top[:50].sum() > 0.9
 
     def test_rudin_shapiro_spectrum_is_broadband(self):
-        power = psd(generate(Protocol.RUDIN_SHAPIRO, 0, 9_999)).power
+        power = psd(generate(Protocol.RUDIN_SHAPIRO, 0, 9_999)).column("Phi")
         assert power.max() < 5.0 * np.median(power)
 
     def test_constant_word_is_degenerate(self):

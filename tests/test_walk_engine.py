@@ -441,6 +441,15 @@ class TestRecording:
                 record_fields=("m2", "norm"),
             )
 
+    def test_repeated_record_fields_are_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated record fields: \['m2'\]"):
+            RunConfig(
+                coin=H4,
+                protocol=Protocol.STANDARD,
+                t_max=5,
+                record_fields=("m2", "m2", "S"),
+            )
+
     def test_negative_t_max_is_rejected(self):
         with pytest.raises(ValueError, match="t_max"):
             RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=-1)
