@@ -17,8 +17,9 @@ default, its flag, and its parser.  A parser takes (key, value) and
 returns the typed, range-checked value (CoinSpec checks theta's range),
 or raises ValueError naming the key.  It runs on every value, from the
 defaults, the file and the flags alike, so handlers receive only parsed
-values.  Each command's JSON echo is its parsed options plus the values
-it resolved from them.
+values; argparse first converts a flag's string, and refuses one it
+cannot convert like any other bad value.  Each command's JSON echo is
+its parsed options plus the values it resolved from them.
 """
 
 from __future__ import annotations
@@ -217,27 +218,25 @@ def _out_dir(cfg: dict) -> Path:
 def _cmd_seq(cfg: dict) -> None:
     t_max = cfg["tmax"]
     rng_seed = _resolve_rng_seed(cfg, [cfg["protocol"]])
-    # The word holds t_max + 1 symbols; both horizons must fit in it, and
-    # are checked before any file is written.
     stride = min(100, t_max + 1) if cfg["stride"] is None else cfg["stride"]
     tau_max = min(200, t_max - 1) if cfg["tau_max"] is None else cfg["tau_max"]
-    if stride > t_max + 1:
-        raise ValueError(f"stride must be at most tmax + 1, got {stride}")
-    if tau_max > t_max - 1:
-        raise ValueError(f"tau_max must be at most tmax - 1, got {tau_max}")
-    out = _out_dir(cfg)
-
     seq = generate(cfg["protocol"], cfg["seed_symbol"], t_max, rng_seed=rng_seed)
-    _write_csv(out / "sequence.csv", ["b_t"], (seq.symbols,))
-    _write_json(out / "sequence.json", seq.json_record())
-
-    _write_series(out / "lzc_curve.csv", seqstats.lzc_curve(seq, stride))
-    _write_series(out / "ones_fraction.csv", seqstats.ones_fraction_curve(seq))
-
+    # Both refuse a horizon the word cannot hold, before --out exists.
+    lzc_curve = seqstats.lzc_curve(seq, stride)
     try:
         acf = seqstats.autocorrelation(seq, tau_max)
     except DegenerateSequenceError as exc:
-        (out / "acf.degenerate.txt").write_text(f"{exc}\n", newline="")
+        acf = exc
+    out = _out_dir(cfg)
+
+    _write_csv(out / "sequence.csv", ["b_t"], (seq.symbols,))
+    _write_json(out / "sequence.json", seq.json_record())
+
+    _write_series(out / "lzc_curve.csv", lzc_curve)
+    _write_series(out / "ones_fraction.csv", seqstats.ones_fraction_curve(seq))
+
+    if isinstance(acf, DegenerateSequenceError):
+        (out / "acf.degenerate.txt").write_text(f"{acf}\n", newline="")
     else:
         _write_csv(out / "acf.csv", ["tau", "R"], (acf.times, acf.column("R")))
 
@@ -495,10 +494,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwjumps",
         description="Quantum walks driven by binary jump-control sequences.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help, options) in _COMMANDS.items():
-        p_command = sub.add_parser(command, help=help)
+        p_command = sub.add_parser(command, help=help, exit_on_error=False)
         p_command.add_argument("--config", help="JSON file holding option defaults")
         for key, (_, _, flag) in options.items():
             # An absent flag stays None: it defers to the file and defaults.
@@ -530,10 +530,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _COMMANDS[args.command][0](_resolve(args))
-    except (QwjumpsError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, QwjumpsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

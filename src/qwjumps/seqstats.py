@@ -122,7 +122,8 @@ def lzc_curve(word, stride: int) -> ObservableSeries:
     w = _as_word(word)
     stride = operator.index(stride)
     if stride < 1 or stride > len(w):
-        raise ValueError("stride must be in 1 .. len(word)")
+        bounds = f"1 .. {len(w)}, the word length"
+        raise ValueError(f"stride must be in {bounds}, got {stride}")
     lengths = np.arange(stride, len(w) + 1, stride)
     values = np.searchsorted(_scan(w), lengths)
     return ObservableSeries(times=lengths, columns={"lzc": values})
@@ -153,7 +154,8 @@ def autocorrelation(word, tau_max: int) -> ObservableSeries:
     z = _as_values(word)
     big_t = len(z) - 1
     if not 1 <= tau_max <= big_t - 1:
-        raise ValueError("tau_max must be in 1 .. len(word) - 2")
+        bounds = f"1 .. {big_t - 1}, the word length less 2"
+        raise ValueError(f"tau_max must be in {bounds}, got {tau_max}")
     z = z - z.mean()
     if not z.any():
         raise DegenerateSequenceError(

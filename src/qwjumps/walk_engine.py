@@ -166,7 +166,8 @@ class RunConfig:
         protocol: Jump-control sequence family.
         t_max: Number of steps; 0 records just the initial state.
         seed_symbol: First symbol of the jump-control word.
-        rng_seed: Shuffle seed, required iff protocol is RANDOM.
+        rng_seed: Shuffle seed, required iff protocol is RANDOM; checked
+            whenever the jump schedule is built, 0 steps included.
         record_stride: Sampling interval for observables; None picks 1
             while t_max <= 1000 and 10 beyond that.  The final step is
             always recorded.
@@ -218,11 +219,8 @@ class RunConfig:
 
     def jump_schedule(self) -> np.ndarray:
         """Jump lengths J_0 .. J_{t_max - 1}; empty when t_max is 0."""
-        if self.t_max == 0:
-            return np.zeros(0, dtype=np.int64)
-        seq = generate(
-            self.protocol, self.seed_symbol, self.t_max, rng_seed=self.rng_seed
-        )
+        steps = max(1, self.t_max)  # generate checks a 0-step run's recipe too
+        seq = generate(self.protocol, self.seed_symbol, steps, rng_seed=self.rng_seed)
         return to_jumps(seq)[: self.t_max]
 
 
@@ -258,15 +256,13 @@ def initial_state(coin: CoinSpec, extent: int) -> SpinorField:
         coin: Coin whose family selects the phase.
         extent: Odd lattice size, at least 3.
     """
-    if extent < 3 or extent % 2 == 0:
-        raise ValueError("extent must be odd and at least 3")
     origin = extent // 2
+    # SpinorField checks the extent before any amplitude is placed.
+    state = SpinorField(*(np.zeros(extent, dtype=complex) for _ in range(2)), origin)
     amp = 1.0 / math.sqrt(2.0)
-    down = np.zeros(extent, dtype=complex)
-    up = np.zeros(extent, dtype=complex)
-    down[origin] = amp
-    up[origin] = 1j * amp if coin.family is CoinFamily.H else amp
-    return SpinorField(down=down, up=up, origin=origin)
+    state.down[origin] = amp
+    state.up[origin] = 1j * amp if coin.family is CoinFamily.H else amp
+    return state
 
 
 def step(state: SpinorField, coin: CoinSpec, jump: int) -> SpinorField:

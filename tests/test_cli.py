@@ -131,10 +131,16 @@ class TestWalkCommand:
             (["carpet", "--coin", "X"], "coin"),
             (["sweep", "--coin", "X"], "coin"),
             (["sweep", "--protocol", "standard", "foo"], "protocol"),
+            (["walk", "--tmax", "abc"], "argument --tmax: invalid int value: 'abc'"),
+            (["carpet", "--theta", "x"], "--theta"),
+            (["sweep", "--jobs", "two"], "--jobs"),
+            (["seq", "--stride", "1.5"], "--stride"),
+            (["frobnicate"], "frobnicate"),
         ],
         ids=["walk-classical-carpet", "walk-theta", "walk-rng-seed", "carpet-theta",
              "carpet-rng-seed", "walk-protocol", "carpet-coin", "sweep-coin",
-             "sweep-protocol"],
+             "sweep-protocol", "walk-tmax-text", "carpet-theta-text", "sweep-jobs-text",
+             "seq-stride-float", "unknown-command"],
     )
     def test_a_refused_run_creates_no_out_dir(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"

@@ -432,6 +432,20 @@ class TestRecording:
         assert math.isnan(series.column("kappa")[0])
         assert result.final_norm == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "recipe, named",
+        [
+            ({"protocol": Protocol.RANDOM}, "rng_seed is required"),
+            ({"protocol": Protocol.STANDARD, "seed_symbol": 7}, "seed_symbol"),
+            ({"protocol": Protocol.FIBONACCI, "rng_seed": 3}, "rng_seed is only"),
+        ],
+        ids=["random-without-seed", "seed-symbol-7", "fibonacci-with-seed"],
+    )
+    def test_a_zero_step_run_checks_its_recipe(self, recipe, named):
+        config = RunConfig(coin=H4, t_max=0, **recipe)
+        with pytest.raises(ValueError, match=named):
+            evolve(config)
+
     def test_unknown_record_fields_are_rejected(self):
         with pytest.raises(ValueError, match="record fields"):
             RunConfig(
