@@ -25,6 +25,7 @@ its parsed options plus the values it resolved from them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -50,10 +51,9 @@ __all__ = ["main"]
 DEFAULT_RNG_SEED = 12345
 DEFAULT_THETA_POINTS = 33
 FULL_SCALE_T_MAX = 200_000
-# A carpet has (t_max + 1) x (4 t_max + 1) cells.  One whose float64 cells
-# would pass this, which is every t_max above 8191, is refused: its
-# carpet.csv would hold about 268 M rows.
-CARPET_MAX_BYTES = 2**31
+# carpet.csv holds one row per cell, (t_max + 1) x (4 t_max + 1) of them.
+# A carpet of more rows, which is every t_max above 8191, is refused.
+CARPET_MAX_ROWS = 2**28
 
 _ALL_PROTOCOLS = [p.value for p in Protocol]
 
@@ -199,7 +199,7 @@ def _resolve_rng_seed(cfg: dict, protocols: list[str]) -> int | None:
     if Protocol.RANDOM.value not in protocols:
         if cfg["rng_seed"] is not None:
             raise ValueError(
-                "rng_seed is only valid with the random protocol, "
+                "rng_seed is only valid for the random protocol, "
                 f"not {', '.join(map(repr, protocols))}"
             )
         return None
@@ -267,29 +267,16 @@ def _run_config(cfg: dict, **plan) -> RunConfig:
     )
 
 
-def _fit_payload(series) -> dict:
-    try:
-        fit = observables.fit_alpha(series.times, series.column("m2"))
-    except DegenerateFitError as exc:
-        return {"error": str(exc)}
-    return {
-        "alpha": fit.alpha,
-        "intercept": fit.intercept,
-        "window": list(fit.window),
-        "residual": fit.residual,
-    }
-
-
 def _evolve(cfg: dict, run: RunConfig, carpet: bool):
     """Make --out and evolve run, streaming its carpet, if asked, to carpet.csv.
 
     Returns (out, result).  An oversized carpet is refused before --out
     exists.
     """
-    if carpet and 8 * (run.t_max + 1) * run.extent > CARPET_MAX_BYTES:
+    if carpet and (run.t_max + 1) * run.extent > CARPET_MAX_ROWS:
         raise ValueError(
-            f"tmax {run.t_max} is too large for a carpet: its "
-            f"{run.t_max + 1} x {run.extent} float64 cells exceed 2 GiB"
+            f"tmax {run.t_max} is too large for a carpet: carpet.csv would hold "
+            f"{run.t_max + 1} x {run.extent} rows, over {CARPET_MAX_ROWS}"
         )
     out = _out_dir(cfg)
     if not carpet:
@@ -314,7 +301,12 @@ def _cmd_walk(cfg: dict) -> None:
     _write_series(out / "observables.csv", result.series)
     resolved = {"rng_seed": run.rng_seed, "stride": run.stride}
     _write_json(out / "config.json", {**cfg, "command": "walk", **resolved})
-    _write_json(out / "fit.json", _fit_payload(result.series))
+    m2 = result.series.column("m2")
+    try:
+        fit = dataclasses.asdict(observables.fit_alpha(result.series.times, m2))
+    except DegenerateFitError as exc:
+        fit = {"error": str(exc)}
+    _write_json(out / "fit.json", fit)
 
 
 def _cmd_carpet(cfg: dict) -> None:
@@ -353,13 +345,13 @@ def _sweep_cell(run: RunConfig) -> tuple[float, float]:
         ) from exc
 
 
-def _map_cells(worker, cells: list, jobs: int) -> list:
+def _map_cells(cells: list, jobs: int) -> list:
     if jobs <= 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
+        return [_sweep_cell(cell) for cell in cells]
     # Workers beyond one per cell would start and sit idle.
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            return list(pool.map(worker, cells))
+            return list(pool.map(_sweep_cell, cells))
     except BrokenProcessPool as exc:
         raise QwjumpsError(f"a sweep worker process died: {exc}") from exc
 
@@ -400,7 +392,7 @@ def _cmd_sweep(cfg: dict) -> None:
     for key, run in zip(keys, cells):
         firsts.setdefault(key, run)
     out = _out_dir(cfg)
-    fits = dict(zip(firsts, _map_cells(_sweep_cell, [*firsts.values()], cfg["jobs"])))
+    fits = dict(zip(firsts, _map_cells([*firsts.values()], cfg["jobs"])))
 
     # alphas[family, theta, protocol, seed] holds (alpha_qw, alpha_cw).
     alphas = np.array([fits[key] for key in keys]).reshape(*map(len, axes), 2)

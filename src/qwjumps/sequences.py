@@ -9,6 +9,7 @@ alternating word.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +61,7 @@ class BinarySequence:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "protocol", Protocol(self.protocol))
         if self.symbols.ndim != 1 or len(self.symbols) == 0:
             raise ValueError("symbols must be a nonempty 1-D array")
         if not np.isin(self.symbols, (0, 1)).all():
@@ -115,12 +117,12 @@ def generate(
 
     Args:
         protocol: Generation rule to apply.
-        seed_symbol: First symbol of the word, 0 or 1.  STANDARD is
+        seed_symbol: First symbol of the word, integer 0 or 1.  STANDARD is
             all-zero by definition and ignores it; the Fibonacci rule
             started from 1 rewrites to the start-0 word after one
             round, so its b_0 is 0 as well.
-        t_max: Number of evolution steps the word must cover; the word
-            receives t_max + 1 symbols.
+        t_max: Integer number of evolution steps the word must cover;
+            the word receives t_max + 1 symbols.
         rng_seed: Nonnegative shuffle seed, required for RANDOM and
             rejected for every other protocol.
 
@@ -132,6 +134,7 @@ def generate(
             rng_seed/protocol mismatch.
     """
     protocol = Protocol(protocol)
+    t_max, seed_symbol = operator.index(t_max), operator.index(seed_symbol)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if seed_symbol not in (0, 1):

@@ -23,6 +23,7 @@ correctness signal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,11 +165,11 @@ class RunConfig:
     Attributes:
         coin: Coin family and angle.
         protocol: Jump-control sequence family.
-        t_max: Number of steps; 0 records just the initial state.
+        t_max: Integer number of steps; 0 records just the initial state.
         seed_symbol: First symbol of the jump-control word.
         rng_seed: Shuffle seed, required iff protocol is RANDOM; checked
             whenever the jump schedule is built, 0 steps included.
-        record_stride: Sampling interval for observables; None picks 1
+        record_stride: Integer sampling interval for observables; None picks 1
             while t_max <= 1000 and 10 beyond that.  The final step is
             always recorded.
         record_fields: Observable columns to record, drawn from
@@ -187,10 +188,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
         object.__setattr__(self, "record_fields", tuple(self.record_fields))
+        object.__setattr__(self, "t_max", operator.index(self.t_max))
         if self.t_max < 0:
             raise ValueError("t_max must be nonnegative")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        if self.record_stride is not None:
+            stride = operator.index(self.record_stride)
+            object.__setattr__(self, "record_stride", stride)
+            if stride < 1:
+                raise ValueError("record_stride must be at least 1")
         unknown = set(self.record_fields) - set(QUANTUM_FIELDS)
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")

@@ -234,6 +234,18 @@ class TestOptionPolicy:
         assert main([command, "--config", str(cfg), *out]) == 2
         assert "seed_symbol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["seq", "walk", "carpet"])
+    def test_a_single_run_refuses_rng_seed_in_generate_s_words(
+        self, tmp_path, capsys, command
+    ):
+        with pytest.raises(ValueError) as refused:
+            generate("fibonacci", 0, 5, rng_seed=7)
+        out = tmp_path / "out"
+        rng = ["--protocol", "fibonacci", "--rng-seed", "7"]
+        assert main([command, *rng, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, echo_name, echoed",
         [
@@ -938,6 +950,13 @@ class TestCarpetCommand:
         assert "tmax 8192" in capsys.readouterr().err
         assert not refused.exists()
 
+    def test_the_refusal_counts_the_rows_of_carpet_csv(self, tmp_path, capsys):
+        assert main(["carpet", "--tmax", "8192", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: tmax 8192 is too large for a carpet: carpet.csv would hold "
+            "8193 x 32769 rows, over 268435456\n"
+        )
+
     def test_the_two_gib_rule_binds_only_a_carpet(self, tmp_path, monkeypatch):
         # A walk without --carpet holds no carpet, so tmax 8192 reaches evolve;
         # the stub runs 4 of its steps to keep the test fast.
@@ -1010,6 +1029,18 @@ class TestCsvWriter:
             for block in blocks:
                 cli_runner._write_block(fh, block)
         assert path.read_text() == "t,v\n0,0.5\n0,-1.0\n1,2.0\n2,0.25\n"
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(cli_runner._COMMANDS))
+    def test_help_names_every_flag_of_its_command(self, capsys, command):
+        # argparse formats help text with %, so a bad help string fails here.
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = capsys.readouterr().out
+        for key in ["config", *cli_runner._COMMANDS[command][2]]:
+            assert "--" + key.replace("_", "-") in text
 
 
 class TestPackaging:

@@ -238,6 +238,17 @@ class TestValidation:
         assert seq.protocol is Protocol.THUE_MORSE
         assert seq.word() == "01101001"
 
+    def test_a_fractional_seed_symbol_is_refused(self):
+        # 1.0 == 1, so only an integer check can tell them apart.
+        with pytest.raises(TypeError):
+            generate("periodic", 1.0, 5)
+
+    def test_numpy_integer_counts_record_as_python_ints(self):
+        seq = generate("periodic", np.int64(1), np.int64(5))
+        assert seq.word() == "101010"
+        assert type(seq.seed_symbol) is int
+        assert json.loads(json.dumps(seq.json_record()))["seed_symbol"] == 1
+
 
 class TestRecord:
     def test_json_record_round_trips_the_recipe(self):
@@ -267,6 +278,11 @@ class TestRecord:
             seed_symbol=0,
         )
         assert seq.word() == "011"
+
+    def test_direct_construction_takes_the_protocol_by_its_value(self):
+        seq = BinarySequence(np.array([0, 1], np.uint8), "fibonacci", 0)
+        assert seq.protocol is Protocol.FIBONACCI
+        assert seq.json_record()["protocol"] == "fibonacci"
 
     def test_direct_construction_rejects_foreign_symbols(self):
         with pytest.raises(ValueError, match="0 and 1"):

@@ -472,6 +472,19 @@ class TestRecording:
         with pytest.raises(ValueError, match="record_stride"):
             RunConfig(coin=H4, protocol=Protocol.STANDARD, t_max=5, record_stride=0)
 
+    @pytest.mark.parametrize(
+        "counts", [{"t_max": 2.5}, {"t_max": 5, "record_stride": 2.5}],
+        ids=["t_max", "record_stride"],
+    )
+    def test_fractional_counts_are_refused_on_construction(self, counts):
+        with pytest.raises(TypeError):
+            RunConfig(H4, "standard", **counts)
+
+    def test_numpy_integer_counts_become_python_ints(self):
+        config = RunConfig(H4, "standard", t_max=np.int64(5), record_stride=np.int64(2))
+        assert type(config.t_max) is int and type(config.record_stride) is int
+        assert list(evolve(config).series.times) == [0, 2, 4, 5]
+
     def test_carpet_rows_cover_every_step(self):
         config = RunConfig(
             coin=H4,
