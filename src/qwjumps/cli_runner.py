@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +347,9 @@ def _sweep_cell(run: RunConfig) -> tuple[float, float]:
 def _map_cells(cells: list, jobs: int) -> list:
     if jobs <= 1 or len(cells) <= 1:
         return [_sweep_cell(cell) for cell in cells]
+    # Imported here, so that only a sweep that starts a pool loads it.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     # Workers beyond one per cell would start and sit idle.
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:

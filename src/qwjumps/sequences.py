@@ -123,18 +123,22 @@ def generate(
             round, so its b_0 is 0 as well.
         t_max: Integer number of evolution steps the word must cover;
             the word receives t_max + 1 symbols.
-        rng_seed: Nonnegative shuffle seed, required for RANDOM and
-            rejected for every other protocol.
+        rng_seed: Nonnegative integer shuffle seed, required for RANDOM
+            and rejected for every other protocol.
 
     Returns:
         The generated BinarySequence.
 
     Raises:
+        TypeError: If t_max, seed_symbol or a given rng_seed is not an
+            integer.
         ValueError: On t_max < 1, seed_symbol outside {0, 1}, or an
             rng_seed/protocol mismatch.
     """
     protocol = Protocol(protocol)
     t_max, seed_symbol = operator.index(t_max), operator.index(seed_symbol)
+    if rng_seed is not None:
+        rng_seed = operator.index(rng_seed)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if seed_symbol not in (0, 1):

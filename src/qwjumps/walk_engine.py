@@ -166,9 +166,9 @@ class RunConfig:
         coin: Coin family and angle.
         protocol: Jump-control sequence family.
         t_max: Integer number of steps; 0 records just the initial state.
-        seed_symbol: First symbol of the jump-control word.
-        rng_seed: Shuffle seed, required iff protocol is RANDOM; checked
-            whenever the jump schedule is built, 0 steps included.
+        seed_symbol: Integer first symbol of the jump-control word.
+        rng_seed: Integer shuffle seed, required iff protocol is RANDOM;
+            checked whenever the jump schedule is built, 0 steps included.
         record_stride: Integer sampling interval for observables; None picks 1
             while t_max <= 1000 and 10 beyond that.  The final step is
             always recorded.
@@ -189,6 +189,9 @@ class RunConfig:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
         object.__setattr__(self, "record_fields", tuple(self.record_fields))
         object.__setattr__(self, "t_max", operator.index(self.t_max))
+        object.__setattr__(self, "seed_symbol", operator.index(self.seed_symbol))
+        if self.rng_seed is not None:
+            object.__setattr__(self, "rng_seed", operator.index(self.rng_seed))
         if self.t_max < 0:
             raise ValueError("t_max must be nonnegative")
         if self.record_stride is not None:
@@ -342,6 +345,9 @@ class _PackedWalk:
         self.m01 = tuple(m01 * p for p in self.phases)
         self.up = np.zeros(s_max + 1, np.result_type(coin, up0, down0))
         self.tmp = np.empty(s_max + 1, self.up.dtype)
+        # Sampling scratch: the squares go to tmp's reals, the mass to mass.
+        self.tmp_reals = self.tmp.view(np.float64)
+        self.mass = np.empty(s_max + 1)
         self.up[s_max] = up0
         self.off, self.lo, self.t = s_max, 0, 0
 
@@ -351,17 +357,34 @@ class _PackedWalk:
         return self.phases[self.t & 1] * u[::-1], u
 
     def squares(self, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|up|^2, down.real^2 and down.imag^2 over [lo, S + 1 - lo)."""
-        sq = np.square(self.up[lo + self.off : len(self.up) - lo].view(np.float64))
+        """|up|^2, down.real^2 and down.imag^2 over [lo, S + 1 - lo).
+
+        The three arrays are views of the walker's own scratch, which its
+        next profile() or squares() call overwrites.
+        """
+        u = self.up[lo + self.off : len(self.up) - lo].view(np.float64)
+        sq = np.square(u, out=self.tmp_reals[: len(u)])
         ur2, ui2 = sq[0::2], sq[1::2]
         # A phase of +-i swaps the real and imaginary parts of the mirror.
         dr2, di2 = (ui2, ur2) if self.phases[0].imag else (ur2, ui2)
-        return ur2 + ui2, dr2[::-1], di2[::-1]
+        return np.add(ur2, ui2, out=self.mass[: len(ur2)]), dr2[::-1], di2[::-1]
 
     def profile(self, lo: int) -> np.ndarray:
-        """Mass over [lo, S + 1 - lo): n sites, x = 1 - n, 3 - n, ..., n - 1."""
-        parts = (self.squares if np.iscomplexobj(self.up) else self.window)(lo)
-        return sum(parts[1:], parts[0])
+        """Mass over [lo, S + 1 - lo): n sites, x = 1 - n, 3 - n, ..., n - 1.
+
+        The result is the walker's own mass buffer, which its next
+        profile() or squares() call overwrites.
+        """
+        if not np.iscomplexobj(self.up):
+            # down + up, as window() gives them.
+            u = self.up[lo + self.off : len(self.up) - lo]
+            mass = self.mass[: len(u)]
+            np.multiply(self.phases[self.t & 1], u[::-1], out=mass)
+            return np.add(mass, u, out=mass)
+        mass, dr2, di2 = self.squares(lo)
+        # Summed in the order |up|^2 + down.real^2 + down.imag^2.
+        np.add(mass, dr2, out=mass)
+        return np.add(mass, di2, out=mass)
 
     def advance(self, jumps: list[int]) -> None:
         """Step through jumps: coin on the live window, then the free shift."""

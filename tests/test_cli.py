@@ -10,6 +10,8 @@ import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +28,9 @@ from qwjumps.cli_runner import DEFAULT_RNG_SEED, main
 from qwjumps.observables import fit_alpha
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+# The sweep imports its pool class from here when it starts a pool, so
+# tests that replace the class patch it here.
+POOL_CLASS = "concurrent.futures.process.ProcessPoolExecutor"
 
 
 def run_ok(argv: list[str]) -> None:
@@ -148,6 +153,22 @@ class TestWalkCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["walk", "--bogus", "1"], []], ids=["unknown-flag", "no-command"]
+    )
+    def test_argparse_exits_on_an_unknown_flag_or_a_missing_command(
+        self, tmp_path, capsys, argv
+    ):
+        # Neither is an option value, so argparse exits itself, printing its
+        # usage line before its error line.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as done:
+            main([*argv, "--out", str(out)] if argv else argv)
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qwjumps") and "error: " in err
         assert not out.exists()
 
     def test_zero_step_run_emits_a_degenerate_fit_marker(self, tmp_path):
@@ -749,7 +770,7 @@ class TestSweepCommand:
             def map(self, worker, cells):
                 return map(worker, cells)
 
-        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(POOL_CLASS, RecordingPool)
         run_ok(self.ARGV + ["--jobs", "64", "--out", str(tmp_path)])
         # 2 thetas x 2 protocols x 2 seed symbols, one coin family: 8 cells,
         # 6 distinct, as standard gives both seed symbols one schedule.
@@ -828,7 +849,7 @@ class TestSweepCommand:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(POOL_CLASS, RecordingPool)
         monkeypatch.setattr(cli_runner, "evolve", _fail_to_evolve)
         code = main(
             [
@@ -1029,6 +1050,43 @@ class TestCsvWriter:
             for block in blocks:
                 cli_runner._write_block(fh, block)
         assert path.read_text() == "t,v\n0,0.5\n0,-1.0\n1,2.0\n2,0.25\n"
+
+
+class TestPoolImport:
+    """Only a sweep that starts a process pool imports the pool module."""
+
+    # Run in a fresh interpreter: this test module itself imports the pool.
+    PROBE = (
+        "import sys\n"
+        "from qwjumps.cli_runner import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    # periodic gives the two seed symbols two schedules: two distinct cells.
+    SWEEP = [
+        "sweep", "--tmax", "20", "--theta", "0.5", "--protocol", "periodic",
+        "--coin", "H", "--seed-symbol", "both",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, pooled",
+        [
+            (["seq", "--tmax", "20"], False),
+            (["walk", "--tmax", "20"], False),
+            (["carpet", "--tmax", "5"], False),
+            ([*SWEEP, "--jobs", "1"], False),
+            ([*SWEEP, "--jobs", "2"], True),
+        ],
+        ids=["seq", "walk", "carpet", "sweep-jobs-1", "sweep-jobs-2"],
+    )
+    def test_only_a_pooled_sweep_imports_the_pool(self, tmp_path, argv, pooled):
+        src = str(Path(cli_runner.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv, "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout.split() == ["0", str(pooled)], done.stderr
 
 
 class TestHelp:

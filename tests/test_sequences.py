@@ -248,6 +248,15 @@ class TestValidation:
         assert seq.word() == "101010"
         assert type(seq.seed_symbol) is int
         assert json.loads(json.dumps(seq.json_record()))["seed_symbol"] == 1
+        seq = generate("random", 0, 5, rng_seed=np.int64(5))
+        assert seq.word() == generate("random", 0, 5, rng_seed=5).word()
+        assert type(seq.rng_seed) is int
+        assert json.loads(json.dumps(seq.json_record()))["rng_seed"] == 5
+
+    def test_a_fractional_rng_seed_is_refused(self):
+        # Refused by generate's own integer check, before numpy sees it.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            generate("random", 0, 5, rng_seed=2.5)
 
 
 class TestRecord:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -485,6 +486,15 @@ class TestRecording:
         assert type(config.t_max) is int and type(config.record_stride) is int
         assert list(evolve(config).series.times) == [0, 2, 4, 5]
 
+    def test_seeds_become_python_ints_and_fractions_are_refused(self):
+        config = RunConfig(
+            H4, "random", t_max=5, seed_symbol=np.int64(1), rng_seed=np.int64(5)
+        )
+        assert type(config.seed_symbol) is int and type(config.rng_seed) is int
+        for seeds in ({"seed_symbol": 1.0}, {"rng_seed": 2.5}):
+            with pytest.raises(TypeError):
+                RunConfig(H4, "random", t_max=5, **{"rng_seed": 5, **seeds})
+
     def test_carpet_rows_cover_every_step(self):
         config = RunConfig(
             coin=H4,
@@ -777,6 +787,30 @@ class TestMomentumSpaceOracle:
         )
 
 
+class TestBallisticLaw:
+    """The standard walk's m2 against its exact ballistic coefficient."""
+
+    # The largest |m2(t) - (1 - sin theta) t^2| over every t <= 2e4, at each
+    # of these angles and for both coins, was 1.2624, at t = 3 and theta 0.4.
+    BOUND = 1.27
+
+    @pytest.mark.parametrize("theta", [0.4, math.pi / 4.0, 1.2])
+    @pytest.mark.parametrize("family", [CoinFamily.H, CoinFamily.K])
+    def test_m2_stays_within_a_constant_of_its_ballistic_law(self, family, theta):
+        # m2(t) = (1 - sin theta) t^2 + O(1): the weak limit of the walk.
+        config = RunConfig(
+            coin=CoinSpec(family, theta),
+            protocol=Protocol.STANDARD,
+            t_max=4000,
+            record_stride=1,
+            record_fields=("m2",),
+        )
+        series = evolve(config).series
+        t = series.times.astype(float)
+        law = (1.0 - math.sin(theta)) * t**2
+        assert np.abs(series.column("m2") - law).max() <= self.BOUND
+
+
 def stepped_asymmetry(state: SpinorField) -> np.ndarray:
     raw = state.up.real**2 + state.up.imag**2 - state.down.real**2 - state.down.imag**2
     return asymmetry_carpet(raw[None])[0]
@@ -950,6 +984,30 @@ class TestAdvanceInBlocks:
             state = step(state, coin, int(jump))
         np.testing.assert_array_equal(result.final_state.down, state.down)
         np.testing.assert_array_equal(result.final_state.up, state.up)
+
+
+class TestSamplingScratch:
+    """A sample writes into the walker's own buffers, not into fresh ones."""
+
+    @pytest.mark.parametrize("coin", [H4, K4, "classical"], ids=["H", "K", "classical"])
+    def test_profile_allocates_nothing_window_sized(self, coin, monkeypatch):
+        # Untrimmed, 10^4 steps of 1 leave a window of 10^4 + 1 sites.
+        monkeypatch.setattr(walk_engine, "TRIM_INTERVAL", 10**9)
+        walk = TestAdvanceInBlocks.walker(coin, 10_000)
+        walk.advance([1] * 10_000)
+        window = walk.up[walk.lo + walk.off : len(walk.up) - walk.lo]
+        assert len(window) == 10_001
+        before = walk.profile(walk.lo).copy()
+        tracemalloc.start()
+        try:
+            mass = walk.profile(walk.lo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * window.nbytes
+        # The result is the walker's buffer, and a second call rewrites it alike.
+        assert np.shares_memory(mass, walk.mass)
+        np.testing.assert_array_equal(mass, before)
 
 
 class TestFieldSets:
