@@ -113,29 +113,32 @@ def _pick(*choices: str):
     return parse
 
 
+def _typed(types: tuple, noun: str, convert=None):
+    """A parser refusing any value whose type is not one of types."""
+
+    def parse(key: str, value):
+        if type(value) not in types:
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return parse
+
+
 def _integer(minimum: int):
     """A parser accepting integers of at least minimum; bools are refused."""
+    typed = _typed((int,), "an integer")
 
     def parse(key: str, value) -> int:
-        if type(value) is not int:
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if value < minimum:
+        if typed(key, value) < minimum:
             raise ValueError(f"{key} must be at least {minimum}, got {value}")
         return value
 
     return parse
 
 
-def _switch(key: str, value) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _path(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a path string, got {value!r}")
-    return value
+_switch = _typed((bool,), "true or false")
+_path = _typed((str,), "a path string")
+_theta = _typed((int, float), "a number", float)
 
 
 def _seed_symbol(key: str, value) -> int:
@@ -143,13 +146,6 @@ def _seed_symbol(key: str, value) -> int:
     if type(value) not in (int, str) or value not in (0, 1, "0", "1"):
         raise ValueError(f"{key} must be 0 or 1, got {value!r}")
     return int(value)
-
-
-def _theta(key: str, value) -> float:
-    """A coin angle in radians, as a float."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 def _or_both(parse, both: list):

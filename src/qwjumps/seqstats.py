@@ -151,7 +151,7 @@ def autocorrelation(word, tau_max: int) -> ObservableSeries:
         DegenerateSequenceError: For a constant word, whose centered
             values vanish identically and admit no normalization.
     """
-    z = _as_values(word)
+    z, tau_max = _as_values(word), operator.index(tau_max)
     big_t = len(z) - 1
     if not 1 <= tau_max <= big_t - 1:
         bounds = f"1 .. {big_t - 1}, the word length less 2"

@@ -264,7 +264,7 @@ def initial_state(coin: CoinSpec, extent: int) -> SpinorField:
         coin: Coin whose family selects the phase.
         extent: Odd lattice size, at least 3.
     """
-    origin = extent // 2
+    origin = operator.index(extent) // 2
     # SpinorField checks the extent before any amplitude is placed.
     state = SpinorField(*(np.zeros(extent, dtype=complex) for _ in range(2)), origin)
     amp = 1.0 / math.sqrt(2.0)
@@ -333,6 +333,10 @@ class _PackedWalk:
     window [lo, S + 1 - lo) is symmetric, so in the buffer it is
     up[lo + off : len(up) - lo]; the buffer is zero outside it.  A complex
     coin moves amplitudes, _CLASSICAL_COIN right- and left-moving mass.
+
+    What window(), terms() and profile() return is the walker's scratch
+    (tmp and mass), which its next window, terms, profile or advance call
+    overwrites.
     """
 
     def __init__(self, coin: np.ndarray, up0, down0, s_max: int):
@@ -345,8 +349,6 @@ class _PackedWalk:
         self.m01 = tuple(m01 * p for p in self.phases)
         self.up = np.zeros(s_max + 1, np.result_type(coin, up0, down0))
         self.tmp = np.empty(s_max + 1, self.up.dtype)
-        # Sampling scratch: the squares go to tmp's reals, the mass to mass.
-        self.tmp_reals = self.tmp.view(np.float64)
         self.mass = np.empty(s_max + 1)
         self.up[s_max] = up0
         self.off, self.lo, self.t = s_max, 0, 0
@@ -354,37 +356,30 @@ class _PackedWalk:
     def window(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Down and up over the symmetric range [lo, S + 1 - lo) of packed sites."""
         u = self.up[lo + self.off : len(self.up) - lo]
-        return self.phases[self.t & 1] * u[::-1], u
+        return np.multiply(self.phases[self.t & 1], u[::-1], out=self.tmp[: len(u)]), u
 
-    def squares(self, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|up|^2, down.real^2 and down.imag^2 over [lo, S + 1 - lo).
+    def terms(self, lo: int) -> tuple[np.ndarray, ...]:
+        """The terms whose in-order sum is the mass over [lo, S + 1 - lo).
 
-        The three arrays are views of the walker's own scratch, which its
-        next profile() or squares() call overwrites.
+        A real walker's are window()'s (down, up); a complex walker's are
+        |up|^2, down.real^2 and down.imag^2, the first in the mass buffer.
         """
+        if not np.iscomplexobj(self.up):
+            return self.window(lo)
         u = self.up[lo + self.off : len(self.up) - lo].view(np.float64)
-        sq = np.square(u, out=self.tmp_reals[: len(u)])
+        sq = np.square(u, out=self.tmp.view(np.float64)[: len(u)])
         ur2, ui2 = sq[0::2], sq[1::2]
         # A phase of +-i swaps the real and imaginary parts of the mirror.
         dr2, di2 = (ui2, ur2) if self.phases[0].imag else (ur2, ui2)
         return np.add(ur2, ui2, out=self.mass[: len(ur2)]), dr2[::-1], di2[::-1]
 
     def profile(self, lo: int) -> np.ndarray:
-        """Mass over [lo, S + 1 - lo): n sites, x = 1 - n, 3 - n, ..., n - 1.
-
-        The result is the walker's own mass buffer, which its next
-        profile() or squares() call overwrites.
-        """
-        if not np.iscomplexobj(self.up):
-            # down + up, as window() gives them.
-            u = self.up[lo + self.off : len(self.up) - lo]
-            mass = self.mass[: len(u)]
-            np.multiply(self.phases[self.t & 1], u[::-1], out=mass)
-            return np.add(mass, u, out=mass)
-        mass, dr2, di2 = self.squares(lo)
-        # Summed in the order |up|^2 + down.real^2 + down.imag^2.
-        np.add(mass, dr2, out=mass)
-        return np.add(mass, di2, out=mass)
+        """Mass over [lo, S + 1 - lo): n sites, x = 1 - n, 3 - n, ..., n - 1."""
+        first, second, *rest = self.terms(lo)
+        mass = np.add(first, second, out=self.mass[: len(first)])
+        for term in rest:
+            np.add(mass, term, out=mass)
+        return mass
 
     def advance(self, jumps: list[int]) -> None:
         """Step through jumps: coin on the live window, then the free shift."""
@@ -459,7 +454,7 @@ def _record(
         if comparator is not None:
             comparator.advance(jumps[start:t])
         if carpet_row is not None:
-            up2, dr2, di2 = walker.squares(walker.lo)
+            up2, dr2, di2 = walker.terms(walker.lo)
             raw = up2 - dr2 - di2
             # Cells outside the window are 0: the window's peak is the row's.
             row = observables.asymmetry_carpet(raw[None])[0]

@@ -267,6 +267,12 @@ class TestAutocorrelation:
         with pytest.raises(ValueError, match="tau_max"):
             autocorrelation("0110", 0)
 
+    def test_tau_max_must_be_an_integer(self):
+        for fraction in (2.5, 3.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                autocorrelation("01101001", fraction)
+        assert autocorrelation("01101001", np.int64(3)).times.tolist() == [0, 1, 2, 3]
+
     # OpenBLAS splits a dot product of over 10 000 elements across its
     # threads.  On a single-core machine both runs get one thread, and
     # this test then passes without checking anything.
